@@ -35,6 +35,7 @@ import os
 import numpy as np
 
 from repro.benchfns.constrained import gardner_problem
+from repro.bo.config import AcquisitionConfig, SchedulerConfig
 from repro.bo.loop import SurrogateBO
 from repro.bo.scheduler import FakeClock
 from repro.gp import GPRegression
@@ -76,22 +77,27 @@ class ResampleCountingBO(SurrogateBO):
 
 def run_one(strategy: str, mode: str, seed: int):
     """One equal-budget run of the Gardner workload."""
-    kwargs = dict(
-        n_initial=N_INITIAL,
-        max_evaluations=BUDGET,
-        duplicate_tol=DUPLICATE_TOL,
-        pending_strategy=strategy,
-        seed=seed,
-    )
     if mode == "sync":
-        kwargs.update(q=WORKERS, executor="thread", n_eval_workers=WORKERS)
+        scheduler = SchedulerConfig(
+            q=WORKERS, executor="thread", n_eval_workers=WORKERS
+        )
     else:
-        kwargs.update(
+        scheduler = SchedulerConfig(
             executor="async-thread",
             n_eval_workers=WORKERS,
-            async_clock=FakeClock(),
+            clock=FakeClock(),
         )
-    optimizer = ResampleCountingBO(gardner_problem(), gp_factory, **kwargs)
+    optimizer = ResampleCountingBO(
+        gardner_problem(),
+        gp_factory,
+        n_initial=N_INITIAL,
+        max_evaluations=BUDGET,
+        acquisition_config=AcquisitionConfig(
+            duplicate_tol=DUPLICATE_TOL, pending_strategy=strategy
+        ),
+        scheduler_config=scheduler,
+        seed=seed,
+    )
     return optimizer.run(), optimizer.n_resamples
 
 

@@ -1,10 +1,10 @@
-"""Fully asynchronous sizing with the refill-on-completion scheduler.
+"""Fully asynchronous sizing with the refill-on-completion loop.
 
 Real simulator workloads have *heterogeneous* evaluation times — a design
 near a corner case can take several times longer to converge than an easy
 one.  A batch (q-point) scheduler stalls its whole worker pool at a
 barrier until the slowest simulation of each batch lands; the
-asynchronous scheduler instead proposes a fresh design the moment any
+asynchronous loop instead proposes a fresh design the moment any
 single evaluation finishes, conditioning on the still-pending set via
 Kriging-believer fantasies, so the pool never idles:
 
@@ -24,7 +24,7 @@ import zlib
 
 import numpy as np
 
-from repro import NNBO
+from repro import NNBO, SchedulerConfig, SurrogateConfig
 from repro.circuits.testbenches import TwoStageOpAmpProblem
 
 
@@ -48,17 +48,16 @@ class JitteredOpAmpProblem(TwoStageOpAmpProblem):
         return super().evaluate(x)
 
 
-def run(label: str, **kwargs):
+def run(label: str, **scheduler):
     optimizer = NNBO(
         JitteredOpAmpProblem(),
         n_initial=12,
         max_evaluations=32,
-        n_ensemble=3,
-        hidden_dims=(24, 24),
-        n_features=16,
-        epochs=100,
+        surrogate=SurrogateConfig(
+            n_ensemble=3, hidden_dims=(24, 24), n_features=16, epochs=100
+        ),
+        scheduler_config=SchedulerConfig(**scheduler),
         seed=2019,
-        **kwargs,
     )
     start = time.perf_counter()
     result = optimizer.run()

@@ -13,16 +13,17 @@ way the knobs actually interact:
   proposals shape each other (fantasy lies, local penalization,
   hallucinated bounds),
 * :class:`SchedulerConfig` — how proposals are evaluated (batch size,
-  executor, worker counts, asynchronous refit policy, virtual clock).
+  executor, worker counts, asynchronous refit policy, virtual clock),
+  with the asynchronous driver's :class:`FarmConfig` and
+  :class:`SpeculationConfig` policies.
 
 Validation lives in ``__post_init__`` — a config object that exists is a
 config object that is valid, and every error message names the offending
 value.  The configs are frozen: derive variants with
 :func:`dataclasses.replace` instead of mutating shared instances.
 
-The legacy constructor kwargs keep working through a deprecation shim in
-:class:`~repro.bo.loop.SurrogateBO` / :class:`~repro.core.bo.NNBO` that
-maps them onto these configs.
+:class:`~repro.bo.loop.SurrogateBO` / :class:`~repro.core.bo.NNBO` take
+these configs as their only way to set these knobs.
 """
 
 from __future__ import annotations
@@ -58,10 +59,8 @@ ACQUISITIONS = ("wei", "thompson")
 def check_count(name: str, value, minimum: int = 1) -> int:
     """Validate an integer count, naming the offending value on failure.
 
-    Shared by the configs, the executors and the schedulers so the
-    ``n_workers``/``q``-style checks stay consistent (they used to be
-    duplicated between ``SurrogateBO.__init__`` and
-    ``AsyncEvaluationScheduler.run_search`` with drifting messages).
+    Shared by the configs, the executors and the drivers so the
+    ``n_workers``/``q``-style checks stay consistent.
     """
     value = int(value)
     if value < minimum:
@@ -363,9 +362,11 @@ class AcquisitionConfig:
 class FarmConfig:
     """Per-tenant policy knobs for the evaluation farm (:mod:`repro.farm`).
 
+    Every ``async-*`` run goes through the farm driver; when
+    ``SchedulerConfig.farm`` is ``None`` it uses ``FarmConfig()``.
     ``mode="fixed"`` keeps the in-flight target at the scheduler's
-    resolved worker count — with speculation off this path is pinned
-    bitwise against :class:`~repro.bo.scheduler.AsyncEvaluationScheduler`.
+    resolved worker count — with speculation off one worker reproduces
+    the serial ``q=1`` loop bitwise.
     ``mode="elastic"`` resizes the target between asks from the
     evaluation-time EWMA and the farm's queue depth: roughly
     ``eval_ewma / propose_cost_s`` evaluations fit in one proposal
@@ -485,11 +486,12 @@ class SchedulerConfig:
     ``clock`` (a :class:`~repro.bo.scheduler.FakeClock`) optionally
     virtualizes the completion order for deterministic replay.
 
-    ``farm`` (a :class:`FarmConfig` or dict) routes asynchronous runs
-    through the evaluation-farm driver (:mod:`repro.farm`) instead of
-    the plain refill loop — required for elastic sizing, adaptive q and
-    speculation; ``speculation`` (a :class:`SpeculationConfig` or dict)
-    enables speculative evaluation on that driver.
+    Asynchronous runs go through the evaluation-farm driver
+    (:mod:`repro.farm`).  ``farm`` (a :class:`FarmConfig` or dict) sets
+    its policy — elastic sizing, adaptive q, timeouts; ``None`` means
+    ``FarmConfig()``, a fixed in-flight target.  ``speculation`` (a
+    :class:`SpeculationConfig` or dict) enables speculative evaluation
+    on that driver and requires an explicit ``farm``.
     """
 
     q: int = 1

@@ -36,7 +36,9 @@ class EvaluationRecord:
         fantasy points the q-point acquisition conditioned on.
 
     Async (refill-on-completion) provenance, filled by
-    :class:`~repro.bo.scheduler.AsyncEvaluationScheduler`:
+    :meth:`~repro.bo.study.Study.tell` for trials the farm driver
+    (:class:`~repro.farm.FarmStudyDriver`) or an external backend
+    streamed:
 
     ``proposal_id``
         This design's id in the run's proposal ledger

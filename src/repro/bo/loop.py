@@ -17,9 +17,7 @@ Configuration is grouped into typed dataclasses
 (:mod:`repro.bo.config`): an :class:`~repro.bo.config.AcquisitionConfig`
 (acquisition family, lies/penalties for concurrent picks) and a
 :class:`~repro.bo.config.SchedulerConfig` (batch size, executor, async
-refit policy).  The historical flat kwargs (``q=``, ``executor=``,
-``fantasy=``, ...) still work through a deprecation shim that maps them
-onto the configs.
+refit policy, farm policy).
 
 Per iteration (Fig. 2):
 
@@ -35,13 +33,14 @@ Per iteration (Fig. 2):
 
 ``q=1`` with the serial executor reproduces the original single-point
 loop bitwise (pinned by ``tests/bo/test_scheduler.py``); the
-``"async-*"`` executors switch to the refill-on-completion scheduler
-(pinned by ``tests/bo/test_async_scheduler.py``).
+``"async-*"`` executors switch to the refill-on-completion loop of
+:class:`~repro.farm.FarmStudyDriver` over a private single-tenant
+:class:`~repro.farm.EvaluationFarm` (pinned by
+``tests/bo/test_async_scheduler.py`` and ``tests/farm``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,60 +61,18 @@ from repro.acquisition.wei import WeightedExpectedImprovement
 from repro.bo.config import (
     ASYNC_REFIT_POLICIES,
     AcquisitionConfig,
+    FarmConfig,
     SchedulerConfig,
 )
 from repro.bo.history import OptimizationResult
 from repro.bo.problem import Problem
-from repro.bo.scheduler import (
-    AsyncEvaluationScheduler,
-    EvaluationScheduler,
-    make_evaluator,
-)
+from repro.bo.scheduler import EvaluationScheduler, make_evaluator
 from repro.utils.rng import ensure_rng
 
 __all__ = [
     "ASYNC_REFIT_POLICIES",
     "SurrogateBO",
 ]
-
-#: sentinel distinguishing "not passed" from any legitimate value in the
-#: deprecated-kwarg shim
-_UNSET = object()
-
-
-def resolve_config_shim(
-    config_cls, provided, config_kwarg, legacy: dict, display: dict, owner: str
-):
-    """Map explicitly-passed legacy kwargs onto a typed config.
-
-    ``legacy`` maps config field names to the legacy value (or ``_UNSET``
-    when the caller did not pass the kwarg); ``display`` renames fields to
-    their historical kwarg spelling for the warning text.  Passing any
-    legacy kwarg emits a ``DeprecationWarning`` attributed to the caller,
-    and conflicts with an explicit config object raise with both values
-    named.
-    """
-    passed = {f: v for f, v in legacy.items() if v is not _UNSET}
-    if not passed:
-        return provided if provided is not None else config_cls()
-    shown = ", ".join(
-        f"{display.get(f, f)}={v!r}" for f, v in passed.items()
-    )
-    if provided is not None:
-        raise ValueError(
-            f"{owner} received both {config_kwarg}={provided!r} and the "
-            f"legacy keyword(s) {shown}; pass everything through "
-            f"{config_kwarg}"
-        )
-    warnings.warn(
-        f"{owner} keyword(s) {shown} are deprecated; pass "
-        f"{config_kwarg}={config_cls.__name__}(...) instead "
-        "(blessed surface: repro.api)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return config_cls(**passed)
-
 
 @dataclass
 class _IterationModels:
@@ -179,22 +136,14 @@ class SurrogateBO:
         iteration ``q``, the evaluation executor (``"serial"`` /
         ``"thread"`` / ``"process"`` / ``"async-thread"`` /
         ``"async-process"`` or an executor instance), worker counts, the
-        asynchronous refit policy, and an optional
+        asynchronous refit policy, the farm policy, and an optional
         :class:`~repro.bo.scheduler.FakeClock` for deterministic replay.
+        ``async_refit="fantasy-only"`` absorbs landings posterior-only
+        through the surrogate bank, so it requires
+        ``surrogate_bank_factory``.
     seed, verbose, callback:
         Reproducibility / reporting hooks.  ``callback(iteration, result)``
         runs after every ingested batch (every landing in async mode).
-
-    Deprecated keywords
-    -------------------
-    The historical flat kwargs — ``acquisition``, ``log_space_acq``,
-    ``duplicate_tol``, ``fantasy``, ``pending_strategy``,
-    ``hallucinate_kappa``, ``proposal_space``, ``trust_region`` (now
-    :class:`AcquisitionConfig` fields) and
-    ``q``, ``executor``, ``n_eval_workers``, ``async_refit``,
-    ``async_full_refit_every``, ``async_clock`` (now
-    :class:`SchedulerConfig` fields) — still work and map onto the
-    configs, emitting a ``DeprecationWarning``.
     """
 
     algorithm_name = "SurrogateBO"
@@ -207,21 +156,7 @@ class SurrogateBO:
         max_evaluations: int = 100,
         initial_design: str = "lhs",
         acq_maximizer: AcquisitionMaximizer | None = None,
-        acquisition=_UNSET,
-        log_space_acq=_UNSET,
-        duplicate_tol=_UNSET,
         surrogate_bank_factory=None,
-        q=_UNSET,
-        executor=_UNSET,
-        n_eval_workers=_UNSET,
-        fantasy=_UNSET,
-        pending_strategy=_UNSET,
-        hallucinate_kappa=_UNSET,
-        proposal_space=_UNSET,
-        trust_region=_UNSET,
-        async_refit=_UNSET,
-        async_full_refit_every=_UNSET,
-        async_clock=_UNSET,
         seed=None,
         verbose: bool = False,
         callback=None,
@@ -241,38 +176,17 @@ class SurrogateBO:
             raise ValueError(
                 "provide surrogate_factory and/or surrogate_bank_factory"
             )
-        acquisition_config = resolve_config_shim(
-            AcquisitionConfig,
-            acquisition_config,
-            "acquisition_config",
-            {
-                "acquisition": acquisition,
-                "log_space": log_space_acq,
-                "duplicate_tol": duplicate_tol,
-                "fantasy": fantasy,
-                "pending_strategy": pending_strategy,
-                "hallucinate_kappa": hallucinate_kappa,
-                "proposal_space": proposal_space,
-                "trust_region": trust_region,
-            },
-            {"log_space": "log_space_acq"},
-            owner=type(self).__name__,
-        )
-        scheduler_config = resolve_config_shim(
-            SchedulerConfig,
-            scheduler_config,
-            "scheduler_config",
-            {
-                "q": q,
-                "executor": executor,
-                "n_eval_workers": n_eval_workers,
-                "async_refit": async_refit,
-                "async_full_refit_every": async_full_refit_every,
-                "clock": async_clock,
-            },
-            {"clock": "async_clock"},
-            owner=type(self).__name__,
-        )
+        acquisition_config = acquisition_config or AcquisitionConfig()
+        scheduler_config = scheduler_config or SchedulerConfig()
+        if (
+            scheduler_config.async_refit == "fantasy-only"
+            and surrogate_bank_factory is None
+        ):
+            raise ValueError(
+                "async_refit='fantasy-only' requires surrogate_bank_factory "
+                "(posterior-only absorbs go through the bank); per-target "
+                "surrogate factories must use async_refit='full'"
+            )
         self.problem = problem
         self.surrogate_factory = surrogate_factory
         self.surrogate_bank_factory = surrogate_bank_factory
@@ -316,7 +230,6 @@ class SurrogateBO:
         #: last models fitted by :meth:`_propose` (adopted by the study's
         #: streaming proposer so fresh-fit single proposals are not refitted)
         self._last_fitted: _IterationModels | None = None
-        self._cache_hits0, self._cache_misses0 = problem.cache_stats
 
     # -- main loop ---------------------------------------------------------------
 
@@ -332,7 +245,7 @@ class SurrogateBO:
 
         The closed-loop entry point: resolves the configured executor,
         pumps the study's initial design and search proposals through it
-        (synchronous q-point batches behind a barrier, or the
+        (synchronous q-point batches behind a barrier, or the farm's
         refill-on-completion loop for ``async-*`` executors), and returns
         the study's history.  Accepts a resumed study — already-committed
         evaluations are kept and pending trials are re-submitted.
@@ -344,18 +257,9 @@ class SurrogateBO:
         owns_evaluator = evaluator is not self.executor
         try:
             if getattr(evaluator, "async_mode", False):
-                if self.scheduler_config.farm is not None:
-                    self._drive_farm(
-                        study,
-                        evaluator,
-                        self.scheduler_config.resolve_in_flight(),
-                    )
-                else:
-                    self._drive_async(
-                        study,
-                        evaluator,
-                        self.scheduler_config.resolve_in_flight(),
-                    )
+                self._drive_farm(
+                    study, evaluator, self.scheduler_config.resolve_in_flight()
+                )
             else:
                 if self.scheduler_config.farm is not None:
                     raise ValueError(
@@ -395,61 +299,30 @@ class SurrogateBO:
             if self.callback is not None:
                 self.callback(iteration, study.result)
 
-    def _drive_async(self, study, evaluator, n_workers: int) -> None:
-        """The asynchronous driver: the refill-on-completion loop.
-
-        The initial design still evaluates as one deterministic batch;
-        afterwards :class:`AsyncEvaluationScheduler` keeps ``n_workers``
-        simulations in flight, asking the study for a replacement per
-        landing.  ``callback(landing, result)`` fires per landing (the
-        async analogue of per-iteration).
-        """
-        if self.async_refit == "fantasy-only" and self.surrogate_bank_factory is None:
-            raise ValueError(
-                "async_refit='fantasy-only' requires surrogate_bank_factory "
-                "(posterior-only absorbs go through the bank); per-target "
-                "surrogate factories must use async_refit='full'"
-            )
-        scheduler = AsyncEvaluationScheduler(
-            self.problem, evaluator, clock=self.async_clock
-        )
-
-        def on_commit(trial, evaluation, result):
-            landing = result.records[-1].iteration
-            if self.verbose:
-                best = result.best_objective()
-                print(
-                    f"[{self.algorithm_name}] landing {landing:3d} "
-                    f"evals {result.n_evaluations:4d} best {best:.6g}"
-                )
-            if self.callback is not None:
-                self.callback(landing, result)
-
-        scheduler.run_study(study, n_workers=n_workers, on_commit=on_commit)
-
     def _drive_farm(self, study, evaluator, n_workers: int) -> None:
-        """The evaluation-farm driver: elastic/speculative refill loop.
+        """The asynchronous driver: the farm's refill-on-completion loop.
 
-        A single-tenant farm over the configured executor.  With the
-        default :class:`~repro.bo.config.FarmConfig` (fixed mode, no
-        speculation) the driver's trace is pinned bitwise against
-        :meth:`_drive_async`; elastic sizing, adaptive q and speculation
-        are opted into through the scheduler config.
+        A private single-tenant :class:`~repro.farm.EvaluationFarm` over
+        the configured executor, driven by
+        :class:`~repro.farm.FarmStudyDriver`.  The initial design still
+        evaluates as one deterministic batch; afterwards the driver keeps
+        ``n_workers`` simulations in flight, asking the study for a
+        replacement per landing.  Without ``SchedulerConfig.farm`` the
+        default :class:`~repro.bo.config.FarmConfig` (fixed in-flight
+        target, no speculation) applies; elastic sizing, adaptive q and
+        speculation are opted into through the scheduler config.
+        ``callback(landing, result)`` fires per landing (the async
+        analogue of per-iteration).
         """
-        if self.async_refit == "fantasy-only" and self.surrogate_bank_factory is None:
-            raise ValueError(
-                "async_refit='fantasy-only' requires surrogate_bank_factory "
-                "(posterior-only absorbs go through the bank); per-target "
-                "surrogate factories must use async_refit='full'"
-            )
         # the farm package builds on this module; imported here to avoid
         # a cycle
         from repro.farm import EvaluationFarm, FarmStudyDriver
 
         cfg = self.scheduler_config
+        farm_cfg = cfg.farm if cfg.farm is not None else FarmConfig()
         capacity = n_workers
-        if cfg.farm.max_in_flight is not None:
-            capacity = max(capacity, cfg.farm.max_in_flight)
+        if farm_cfg.max_in_flight is not None:
+            capacity = max(capacity, farm_cfg.max_in_flight)
         if cfg.speculation is not None:
             capacity += cfg.speculation.max_speculative
 
@@ -470,32 +343,20 @@ class SurrogateBO:
             tenant = farm.register(
                 str(self.problem.name),
                 problem=self.problem,
-                weight=cfg.farm.weight,
-                max_queue=cfg.farm.max_queue,
+                weight=farm_cfg.weight,
+                max_queue=farm_cfg.max_queue,
             )
             driver = FarmStudyDriver(farm, clock=self.async_clock)
             driver.run(
                 study,
                 tenant,
                 target=n_workers,
-                config=cfg.farm,
+                config=farm_cfg,
                 speculation=cfg.speculation,
                 on_commit=on_commit,
             )
 
     # -- helpers -------------------------------------------------------------------
-
-    def _sync_cache_counters(self, result: OptimizationResult):
-        hits, misses = self.problem.cache_stats
-        result.cache_hits = hits - self._cache_hits0
-        result.cache_misses = misses - self._cache_misses0
-
-    def _evaluate_and_record(self, u, result, unit_x, phase):
-        """Serial single-point evaluate (legacy path, kept for tests/tools)."""
-        evaluation = self.problem.evaluate_unit(u)
-        result.append(self.problem.scaler.inverse_transform(u), evaluation, phase=phase)
-        unit_x.append(np.asarray(u, dtype=float))
-        self._sync_cache_counters(result)
 
     def _sanitized_targets(self, result: OptimizationResult):
         """Surrogate-ready targets from the committed history.

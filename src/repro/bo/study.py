@@ -17,8 +17,9 @@ pace::
         study.tell(trial, my_simulator(trial.x))
     print(study.best())
 
-``SurrogateBO.run()`` and both schedulers are thin drivers over this
-class, and the pinned PR-2/3/4 traces are bitwise unchanged:
+``SurrogateBO.run()`` — through the synchronous batch scheduler or the
+asynchronous farm driver — is a thin driver over this class, and the
+pinned PR-2/3/4 traces are bitwise unchanged:
 
 * telling each ``ask()`` result immediately (serial, q = 1) reproduces
   the legacy single-point loop exactly — same surrogate fits, same RNG
@@ -858,12 +859,8 @@ class Study:
         if self._landings_since_fit >= self._full_refit_every:
             self._needs_refit = True
             return
+        # "fantasy-only" implies a bank (checked at optimizer construction)
         fitted = self._fitted
-        if fitted.bank is None:
-            # per-target models cannot absorb posterior-only; fall back to
-            # a full refit on the next ask
-            self._needs_refit = True
-            return
         # observe() rebuilds the posterior; the intermediate fantasy-free
         # rebuild would be wasted work on the landing hot path
         fitted.bank.clear_fantasies(update=False)

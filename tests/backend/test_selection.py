@@ -10,9 +10,8 @@ Pinned here:
 * the numpy namespace's transfer ops are identity (device round-trips
   return the same numpy data) and its portable ops are the numpy
   functions themselves — the bitwise guarantee is by construction;
-* the ``NNBO`` config shim maps the flat ``backend=``/``device=``/
-  ``linalg_threads=`` kwargs onto :class:`SurrogateConfig` with a
-  ``DeprecationWarning``;
+* ``NNBO`` mirrors the :class:`SurrogateConfig` ``backend``/
+  ``linalg_threads`` fields as flat attributes;
 * when torch is importable, the torch posterior matches numpy within the
   1e-5 accelerator-equivalence gate (skips cleanly otherwise).
 """
@@ -135,18 +134,17 @@ class TestConfigWiring:
         with pytest.raises(ValueError, match="linalg_threads"):
             SurrogateConfig(linalg_threads=-1)
 
-    def test_nnbo_shim_maps_backend_kwargs(self):
+    def test_nnbo_mirrors_backend_config(self):
         from repro.benchfns import toy_constrained_quadratic
+        from repro.bo.config import SurrogateConfig
         from repro.core import NNBO
 
-        with pytest.warns(DeprecationWarning, match="backend"):
-            bo = NNBO(
-                toy_constrained_quadratic(2),
-                n_initial=4,
-                max_evaluations=6,
-                backend="numpy",
-                linalg_threads=2,
-            )
+        bo = NNBO(
+            toy_constrained_quadratic(2),
+            n_initial=4,
+            max_evaluations=6,
+            surrogate=SurrogateConfig(backend="numpy", linalg_threads=2),
+        )
         assert bo.surrogate_config.backend == "numpy"
         assert bo.surrogate_config.linalg_threads == 2
         assert bo.backend == "numpy"

@@ -15,16 +15,17 @@ Plus the exception-safety contract: a poisoned objective aborts the run
 without orphaning pool workers or corrupting history ordering.
 """
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
+from repro.bo.config import AcquisitionConfig, SchedulerConfig
 from repro.bo.history import OptimizationResult
 from repro.bo.loop import SurrogateBO
 from repro.bo.problem import FunctionProblem
 from repro.bo.scheduler import (
-    AsyncEvaluationScheduler,
     AsyncProcessEvaluator,
     AsyncThreadEvaluator,
     EvaluationScheduler,
@@ -33,11 +34,12 @@ from repro.bo.scheduler import (
     make_evaluator,
 )
 from repro.benchfns import toy_constrained_quadratic
+from repro.bo.study import Study
 from repro.core import NNBO
 
 # shared with the synchronous scheduler suite: same GP factory, same
 # picklable problem (module-level callables pickle into pool workers)
-from test_scheduler import gp_factory, make_picklable_problem
+from test_scheduler import SMALL_NN, gp_factory, make_picklable_problem
 
 
 def _poison_objective(x):
@@ -66,7 +68,10 @@ class TestAsyncSingleWorkerMatchesSerial:
             return SurrogateBO(
                 toy_constrained_quadratic(2), gp_factory,
                 n_initial=5, max_evaluations=10,
-                executor=executor, n_eval_workers=n_eval_workers, seed=11,
+                scheduler_config=SchedulerConfig(
+                    executor=executor, n_eval_workers=n_eval_workers
+                ),
+                seed=11,
             )
 
         serial, asynchronous = self._pair(make)
@@ -82,9 +87,11 @@ class TestAsyncSingleWorkerMatchesSerial:
         def make(executor, n_eval_workers):
             return NNBO(
                 toy_constrained_quadratic(2),
-                n_initial=5, max_evaluations=8, n_ensemble=2,
-                hidden_dims=(10, 10), n_features=6, epochs=20,
-                executor=executor, n_eval_workers=n_eval_workers, seed=3,
+                n_initial=5, max_evaluations=8, surrogate=SMALL_NN,
+                scheduler_config=SchedulerConfig(
+                    executor=executor, n_eval_workers=n_eval_workers
+                ),
+                seed=3,
             )
 
         serial, asynchronous = self._pair(make)
@@ -106,9 +113,11 @@ class TestFakeClockReplay:
             gp_factory,
             n_initial=5,
             max_evaluations=self.BUDGET,
-            executor=executor,
-            n_eval_workers=self.WORKERS,
-            async_clock=FakeClock(),
+            scheduler_config=SchedulerConfig(
+                executor=executor,
+                n_eval_workers=self.WORKERS,
+                clock=FakeClock(),
+            ),
             seed=2024,
         ).run()
 
@@ -138,18 +147,16 @@ class TestFakeClockReplay:
 
 
 class TestAsyncBudgetAndLedger:
-    def _run(self, **kwargs) -> OptimizationResult:
-        defaults = dict(
+    def _run(self) -> OptimizationResult:
+        return SurrogateBO(
+            toy_constrained_quadratic(2),
+            gp_factory,
             n_initial=5,
             max_evaluations=14,
-            executor="async-thread",
-            n_eval_workers=3,
-            async_clock=FakeClock(),
+            scheduler_config=SchedulerConfig(
+                executor="async-thread", n_eval_workers=3, clock=FakeClock()
+            ),
             seed=5,
-        )
-        defaults.update(kwargs)
-        return SurrogateBO(
-            toy_constrained_quadratic(2), gp_factory, **defaults
         ).run()
 
     def test_exact_budget(self):
@@ -190,23 +197,27 @@ class TestAsyncBudgetAndLedger:
         SurrogateBO(
             toy_constrained_quadratic(2), gp_factory,
             n_initial=5, max_evaluations=11,
-            executor="async-thread", n_eval_workers=2,
-            async_clock=FakeClock(), seed=5,
+            scheduler_config=SchedulerConfig(
+                executor="async-thread", n_eval_workers=2, clock=FakeClock()
+            ),
+            seed=5,
             callback=lambda landing, res: seen.append(landing),
         ).run()
         assert seen == list(range(1, 7))
 
 
 class TestAsyncRefitPolicies:
-    def _make_nnbo(self, **kwargs):
-        defaults = dict(
-            n_initial=6, max_evaluations=14, n_ensemble=2,
-            hidden_dims=(10, 10), n_features=6, epochs=20,
-            executor="async-thread", n_eval_workers=2,
-            async_clock=FakeClock(), seed=1,
+    def _make_nnbo(self, acquisition_config=None, **scheduler):
+        return NNBO(
+            toy_constrained_quadratic(2),
+            n_initial=6, max_evaluations=14, surrogate=SMALL_NN,
+            acquisition_config=acquisition_config,
+            scheduler_config=SchedulerConfig(
+                executor="async-thread", n_eval_workers=2, clock=FakeClock(),
+                **scheduler,
+            ),
+            seed=1,
         )
-        defaults.update(kwargs)
-        return NNBO(toy_constrained_quadratic(2), **defaults)
 
     def test_fantasy_only_runs_to_budget(self):
         result = self._make_nnbo(
@@ -223,29 +234,46 @@ class TestAsyncRefitPolicies:
         np.testing.assert_array_equal(make().run().x_matrix, make().run().x_matrix)
 
     def test_fantasy_only_requires_bank(self):
-        bo = SurrogateBO(
-            toy_constrained_quadratic(2), gp_factory,
-            n_initial=5, max_evaluations=8,
-            executor="async-thread", n_eval_workers=2,
-            async_refit="fantasy-only", seed=0,
-        )
+        """Posterior-only absorbs need a bank: rejected at construction."""
+        fantasy_only = SchedulerConfig(async_refit="fantasy-only")
         with pytest.raises(ValueError, match="fantasy-only"):
-            bo.run()
+            SurrogateBO(
+                toy_constrained_quadratic(2), gp_factory,
+                n_initial=5, max_evaluations=8,
+                scheduler_config=SchedulerConfig(
+                    executor="async-thread", n_eval_workers=2,
+                    async_refit="fantasy-only",
+                ),
+                seed=0,
+            )
+        # regression: the ask/tell path must not accept the config and
+        # silently run full refits instead
+        with pytest.raises(ValueError, match="fantasy-only"):
+            Study(
+                toy_constrained_quadratic(2),
+                surrogate_factory=gp_factory,
+                scheduler=fantasy_only,
+                n_initial=5, max_evaluations=8,
+            )
+        # the per-member loop engine has no bank either
+        with pytest.raises(ValueError, match="fantasy-only"):
+            NNBO(
+                toy_constrained_quadratic(2),
+                n_initial=5, max_evaluations=8,
+                surrogate=dataclasses.replace(SMALL_NN, engine="loop"),
+                scheduler_config=fantasy_only,
+            )
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError, match="async_refit"):
-            SurrogateBO(
-                toy_constrained_quadratic(2), gp_factory,
-                n_initial=5, max_evaluations=8, async_refit="lazy",
-            )
+            SchedulerConfig(async_refit="lazy")
         with pytest.raises(ValueError, match="async_full_refit_every"):
-            SurrogateBO(
-                toy_constrained_quadratic(2), gp_factory,
-                n_initial=5, max_evaluations=8, async_full_refit_every=0,
-            )
+            SchedulerConfig(async_full_refit_every=0)
 
     def test_thompson_async(self):
-        result = self._make_nnbo(acquisition="thompson", q=2).run()
+        result = self._make_nnbo(
+            AcquisitionConfig(acquisition="thompson"), q=2
+        ).run()
         assert result.n_evaluations == 14
 
 
@@ -264,7 +292,10 @@ class TestAsyncExecutorSpecs:
             result = SurrogateBO(
                 toy_constrained_quadratic(2), gp_factory,
                 n_initial=5, max_evaluations=9,
-                executor=evaluator, async_clock=FakeClock(), seed=3,
+                scheduler_config=SchedulerConfig(
+                    executor=evaluator, clock=FakeClock()
+                ),
+                seed=3,
             ).run()
         finally:
             evaluator.close()
@@ -282,7 +313,7 @@ class TestPoisonedEvaluations:
         bo = SurrogateBO(
             make_poisoned_problem(), gp_factory,
             n_initial=4, max_evaluations=20,
-            executor=evaluator, seed=0,
+            scheduler_config=SchedulerConfig(executor=evaluator), seed=0,
         )
         start = time.perf_counter()
         try:
@@ -298,25 +329,27 @@ class TestPoisonedEvaluations:
     def test_batch_scheduler_prefix_ordering_preserved(self):
         """Records committed before the poison stay a clean batch-order prefix."""
         problem = make_poisoned_problem()
+        study = Study(
+            problem, surrogate_factory=gp_factory,
+            n_initial=4, max_evaluations=8, seed=0,
+        )
+        trials = study.start_initial()
+        # a 4-point LHS puts exactly one design in the poisoned x0 > 0.75
+        # stratum; seed 0 places it after at least one clean design
+        poisoned = [t.batch_index for t in trials if t.u[0] > 0.75]
+        assert len(poisoned) == 1 and poisoned[0] > 0
         evaluator = ProcessPoolEvaluator(n_workers=2)
-        result = OptimizationResult(problem.name, "test")
         scheduler = EvaluationScheduler(problem, evaluator)
-        batch = [
-            np.array([0.1, 0.1]),
-            np.array([0.9, 0.9]),  # poisoned
-            np.array([0.2, 0.2]),
-            np.array([0.3, 0.3]),
-        ]
         try:
             with pytest.raises(RuntimeError, match="simulator diverged"):
-                scheduler.run_batch(batch, result, [], phase="search", iteration=1)
+                scheduler.run_trials(trials, study)
         finally:
             evaluator.close()
         assert evaluator._pool is None
         # whatever landed before the failure is a contiguous batch prefix
-        assert [r.batch_index for r in result.records] == list(
-            range(len(result.records))
-        )
+        records = study.result.records
+        assert [r.batch_index for r in records] == list(range(len(records)))
+        assert len(records) <= poisoned[0]
 
     def test_pool_usable_after_poisoned_batch(self):
         """The executor recovers: close + fresh evaluate works."""
@@ -336,30 +369,25 @@ class TestPoisonedEvaluations:
 
 
 class TestAsyncSchedulerUnit:
-    """Direct scheduler-level checks independent of the BO loop."""
+    """Refill-loop checks on the farm driver behind ``SurrogateBO.run()``."""
 
     def test_refill_keeps_pool_saturated(self):
-        problem = make_picklable_problem()
-        evaluator = AsyncThreadEvaluator(n_workers=3)
-        result = OptimizationResult(problem.name, "unit")
-        scheduler = AsyncEvaluationScheduler(
-            problem, evaluator, clock=FakeClock()
-        )
-        rng = np.random.default_rng(0)
-        observed_pending = []
-
-        def propose(pending_units):
-            observed_pending.append(len(pending_units))
-            return rng.uniform(size=2)
-
-        try:
-            scheduler.run_search(
-                result, [], propose=propose, n_workers=3, max_evaluations=9
-            )
-        finally:
-            evaluator.close()
-        assert result.n_evaluations == 9
-        # steady state proposes against a full complement of pending designs
+        result = SurrogateBO(
+            make_picklable_problem(), gp_factory,
+            n_initial=4, max_evaluations=13,
+            scheduler_config=SchedulerConfig(
+                executor="async-thread", n_eval_workers=3, clock=FakeClock()
+            ),
+            seed=0,
+        ).run()
+        assert result.n_evaluations == 13
+        # the pending set each proposal saw, in proposal order
+        observed_pending = [
+            len(entry.pending_at_proposal) for entry in result.ledger.entries
+        ]
+        assert len(observed_pending) == 13 - 4
+        # steady state proposes against a full complement of pending
+        # designs, and never more: in flight stays within the 3 workers
         assert max(observed_pending) == 2
         assert observed_pending[0] == 0  # first top-up starts empty
 

@@ -1,17 +1,16 @@
-"""Tests for the typed configs and the legacy-kwarg deprecation shim.
+"""Tests for the typed configs.
 
 Contracts pinned here:
 
 * configs validate at construction and every message names the
   offending value;
-* legacy constructor kwargs still work, emit a ``DeprecationWarning``
-  naming the replacement config, and produce bitwise-identical runs;
-* mixing legacy kwargs with an explicit config object is an error.
+* the typed configs are the only way to set the optimizer knobs:
+  construction through them is warning-free, and invalid values raise
+  at construction.
 """
 
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.bo.config import (
@@ -157,59 +156,10 @@ class TestErrorMessagesNameValues:
 
 
 class TestDeprecationShim:
+    """What outlives the retired legacy-kwarg shim: configs only, no warnings."""
+
     def _problem(self):
         return toy_constrained_quadratic(2)
-
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="q=3"):
-            bo = SurrogateBO(
-                self._problem(),
-                gp_factory,
-                n_initial=5,
-                max_evaluations=11,
-                q=3,
-                executor="thread",
-                n_eval_workers=3,
-                seed=7,
-            )
-        assert bo.scheduler_config.q == 3
-        assert bo.scheduler_config.executor == "thread"
-        assert bo.q == 3
-
-    def test_legacy_and_config_runs_are_bitwise(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = SurrogateBO(
-                self._problem(),
-                gp_factory,
-                n_initial=5,
-                max_evaluations=11,
-                q=3,
-                fantasy="cl-min",
-                seed=7,
-            ).run()
-        modern = SurrogateBO(
-            self._problem(),
-            gp_factory,
-            n_initial=5,
-            max_evaluations=11,
-            acquisition_config=AcquisitionConfig(fantasy="cl-min"),
-            scheduler_config=SchedulerConfig(q=3),
-            seed=7,
-        ).run()
-        np.testing.assert_array_equal(modern.x_matrix, legacy.x_matrix)
-        np.testing.assert_array_equal(modern.objectives, legacy.objectives)
-
-    def test_conflict_with_explicit_config_raises(self):
-        with pytest.raises(ValueError, match="both"):
-            SurrogateBO(
-                self._problem(),
-                gp_factory,
-                n_initial=5,
-                max_evaluations=8,
-                q=2,
-                scheduler_config=SchedulerConfig(q=2),
-            )
 
     def test_config_only_construction_is_warning_free(self):
         with warnings.catch_warnings():
@@ -233,21 +183,6 @@ class TestDeprecationShim:
                 seed=0,
             )
 
-    def test_nnbo_legacy_surrogate_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="n_ensemble=2"):
-            nnbo = NNBO(
-                self._problem(),
-                n_initial=5,
-                max_evaluations=8,
-                n_ensemble=2,
-                hidden_dims=(8, 8),
-                n_features=6,
-                epochs=10,
-                seed=0,
-            )
-        assert nnbo.surrogate_config.n_ensemble == 2
-        assert nnbo.engine == "batched"
-
     def test_validation_errors_still_raise_at_construction(self):
         with pytest.raises(ValueError, match="async_refit"):
             SurrogateBO(
@@ -255,7 +190,7 @@ class TestDeprecationShim:
                 gp_factory,
                 n_initial=5,
                 max_evaluations=8,
-                async_refit="lazy",
+                scheduler_config=SchedulerConfig(async_refit="lazy"),
             )
         with pytest.raises(ValueError, match="n_initial must be >= 2, got 1"):
             SurrogateBO(

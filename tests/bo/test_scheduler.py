@@ -12,6 +12,7 @@ Two determinism contracts anchor the refactor:
 import numpy as np
 import pytest
 
+from repro.bo.config import AcquisitionConfig, SchedulerConfig, SurrogateConfig
 from repro.bo.design import make_design
 from repro.bo.history import OptimizationResult
 from repro.bo.loop import SurrogateBO
@@ -51,10 +52,29 @@ def make_picklable_problem(dim: int = 2) -> FunctionProblem:
     )
 
 
+SMALL_NN = SurrogateConfig(
+    n_ensemble=2, hidden_dims=(10, 10), n_features=6, epochs=20
+)
+
+
+def sync_cache_counters(bo: SurrogateBO, result: OptimizationResult):
+    hits, misses = bo.problem.cache_stats
+    result.cache_hits = hits - bo._cache_hits0
+    result.cache_misses = misses - bo._cache_misses0
+
+
+def evaluate_and_record(bo: SurrogateBO, u, result, unit_x, phase):
+    """Serial single-point evaluate (the pre-scheduler loop body)."""
+    evaluation = bo.problem.evaluate_unit(u)
+    result.append(bo.problem.scaler.inverse_transform(u), evaluation, phase=phase)
+    unit_x.append(np.asarray(u, dtype=float))
+    sync_cache_counters(bo, result)
+
+
 def legacy_run(bo: SurrogateBO) -> OptimizationResult:
     """The pre-scheduler single-point loop, replicated verbatim.
 
-    Drives the same internal helpers (`_propose`, `_evaluate_and_record`)
+    Drives the same internal helpers (`_propose`, `evaluate_and_record`)
     in the same order the original ``run()`` did, so any scheduler-induced
     deviation — extra RNG draws, reordered appends, changed bookkeeping —
     shows up as a bitwise mismatch.
@@ -63,10 +83,10 @@ def legacy_run(bo: SurrogateBO) -> OptimizationResult:
     unit_x: list[np.ndarray] = []
     bo._cache_hits0, bo._cache_misses0 = bo.problem.cache_stats
     for u in make_design(bo.initial_design, bo.n_initial, bo.problem.dim, bo.rng):
-        bo._evaluate_and_record(u, result, unit_x, phase="initial")
+        evaluate_and_record(bo, u, result, unit_x, phase="initial")
     while result.n_evaluations < bo.max_evaluations:
         proposal = bo._propose(np.stack(unit_x), result)
-        bo._evaluate_and_record(proposal, result, unit_x, phase="search")
+        evaluate_and_record(bo, proposal, result, unit_x, phase="search")
     return result
 
 
@@ -94,8 +114,7 @@ class TestQ1MatchesLegacyLoop:
         self._compare(
             lambda: NNBO(
                 toy_constrained_quadratic(2),
-                n_initial=5, max_evaluations=8, n_ensemble=2,
-                hidden_dims=(10, 10), n_features=6, epochs=20, seed=3,
+                n_initial=5, max_evaluations=8, surrogate=SMALL_NN, seed=3,
             )
         )
 
@@ -109,8 +128,7 @@ class TestCrossExecutorDeterminism:
             gp_factory,
             n_initial=5,
             max_evaluations=13,
-            q=self.Q,
-            executor=executor,
+            scheduler_config=SchedulerConfig(q=self.Q, executor=executor),
             seed=2024,
         )
         return bo.run()
@@ -140,7 +158,8 @@ class TestBatchProvenance:
     def _result(self, q=3, budget=12):
         return SurrogateBO(
             toy_constrained_quadratic(2), gp_factory,
-            n_initial=5, max_evaluations=budget, q=q, seed=0,
+            n_initial=5, max_evaluations=budget,
+            scheduler_config=SchedulerConfig(q=q), seed=0,
         ).run()
 
     def test_budget_respected_with_truncated_final_batch(self):
@@ -177,7 +196,8 @@ class TestBatchProvenance:
         seen = []
         SurrogateBO(
             toy_constrained_quadratic(2), gp_factory,
-            n_initial=5, max_evaluations=11, q=3, seed=0,
+            n_initial=5, max_evaluations=11,
+            scheduler_config=SchedulerConfig(q=3), seed=0,
             callback=lambda it, res: seen.append((it, res.n_evaluations)),
         ).run()
         assert seen == [(1, 8), (2, 11)]
@@ -187,8 +207,8 @@ class TestNNBOBatchPaths:
     def test_wei_bank_q3(self):
         nnbo = NNBO(
             toy_constrained_quadratic(2),
-            n_initial=6, max_evaluations=12, n_ensemble=2,
-            hidden_dims=(10, 10), n_features=6, epochs=20, q=3, seed=1,
+            n_initial=6, max_evaluations=12, surrogate=SMALL_NN,
+            scheduler_config=SchedulerConfig(q=3), seed=1,
         )
         result = nnbo.run()
         assert result.n_evaluations == 12
@@ -197,9 +217,9 @@ class TestNNBOBatchPaths:
     def test_thompson_q2_uses_bank(self):
         nnbo = NNBO(
             toy_constrained_quadratic(2),
-            n_initial=6, max_evaluations=10, n_ensemble=2,
-            hidden_dims=(10, 10), n_features=6, epochs=20,
-            q=2, acquisition="thompson", seed=1,
+            n_initial=6, max_evaluations=10, surrogate=SMALL_NN,
+            acquisition_config=AcquisitionConfig(acquisition="thompson"),
+            scheduler_config=SchedulerConfig(q=2), seed=1,
         )
         assert nnbo.engine == "batched"
         result = nnbo.run()
@@ -209,8 +229,8 @@ class TestNNBOBatchPaths:
         def make():
             return NNBO(
                 toy_constrained_quadratic(2),
-                n_initial=6, max_evaluations=12, n_ensemble=2,
-                hidden_dims=(10, 10), n_features=6, epochs=20, q=3, seed=7,
+                n_initial=6, max_evaluations=12, surrogate=SMALL_NN,
+                scheduler_config=SchedulerConfig(q=3), seed=7,
             )
 
         np.testing.assert_array_equal(make().run().x_matrix, make().run().x_matrix)
@@ -262,11 +282,13 @@ class TestExecutors:
 
         problem = toy_constrained_quadratic(2)
         forward = SurrogateBO(
-            problem, gp_factory, n_initial=5, max_evaluations=11, q=3, seed=4,
+            problem, gp_factory, n_initial=5, max_evaluations=11,
+            scheduler_config=SchedulerConfig(q=3), seed=4,
         ).run()
         reversed_run = SurrogateBO(
-            problem, gp_factory, n_initial=5, max_evaluations=11, q=3,
-            executor=ReversedEvaluator(), seed=4,
+            problem, gp_factory, n_initial=5, max_evaluations=11,
+            scheduler_config=SchedulerConfig(q=3, executor=ReversedEvaluator()),
+            seed=4,
         ).run()
         np.testing.assert_array_equal(reversed_run.x_matrix, forward.x_matrix)
 

@@ -3,22 +3,23 @@
 import numpy as np
 
 from repro.benchfns import toy_constrained_quadratic
+from repro.bo.config import AcquisitionConfig, SurrogateConfig
 from repro.core import NNBO
 from repro.core.bo import _TrainedEnsemble
 
 
-def tiny_nnbo(problem, **overrides):
-    defaults = dict(
+def tiny_nnbo(problem, max_evaluations=16, seed=0, acquisition="wei", **surrogate):
+    """A small NN-BO; ``surrogate`` kwargs override SurrogateConfig fields."""
+    fields = dict(n_ensemble=2, hidden_dims=(12, 12), n_features=8, epochs=50)
+    fields.update(surrogate)
+    return NNBO(
+        problem,
         n_initial=8,
-        max_evaluations=16,
-        n_ensemble=2,
-        hidden_dims=(12, 12),
-        n_features=8,
-        epochs=50,
-        seed=0,
+        max_evaluations=max_evaluations,
+        surrogate=SurrogateConfig(**fields),
+        acquisition_config=AcquisitionConfig(acquisition=acquisition),
+        seed=seed,
     )
-    defaults.update(overrides)
-    return NNBO(problem, **defaults)
 
 
 class TestNNBO:

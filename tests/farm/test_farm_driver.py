@@ -1,14 +1,12 @@
 """Determinism and control-policy tests for :class:`FarmStudyDriver`.
 
-The two headline pins:
-
-* a speculation-off, fixed-target farm run is **bitwise identical** to
-  :class:`~repro.bo.scheduler.AsyncEvaluationScheduler` under a
-  :class:`~repro.bo.scheduler.FakeClock` — same designs, same commit
-  order, same provenance;
-* with elastic sizing, adaptive q and speculation all enabled, the
-  trace is still a pure function of the seed: async-thread and
-  async-process runs match bitwise, and replays are stable.
+The farm driver is the one asynchronous refill loop behind every
+``async-*`` run (its default-config determinism pins — one worker ==
+serial q=1, async-thread == async-process, fake-clock replay — live in
+``tests/bo/test_async_scheduler.py``).  The headline pin here: with
+elastic sizing, adaptive q and speculation all enabled, the trace is
+still a pure function of the seed — async-thread and async-process runs
+match bitwise, and replays are stable.
 """
 
 import numpy as np
@@ -48,21 +46,7 @@ def run_loop(
 
 
 class TestSpeculationOffParity:
-    """The acceptance pin: farm(default) == async scheduler, bitwise."""
-
-    def test_bitwise_vs_async_scheduler(self):
-        reference = run_loop(farm=None)
-        farmed = run_loop(farm=FarmConfig())
-        np.testing.assert_array_equal(farmed.x_matrix, reference.x_matrix)
-        np.testing.assert_array_equal(farmed.objectives, reference.objectives)
-        assert (
-            farmed.ledger.completion_order == reference.ledger.completion_order
-        )
-        assert [
-            (r.proposal_id, r.pending_at_proposal) for r in farmed.records
-        ] == [
-            (r.proposal_id, r.pending_at_proposal) for r in reference.records
-        ]
+    """The default (fixed, speculation-off) farm policy."""
 
     def test_commit_order_actually_interleaves(self):
         order = run_loop(farm=FarmConfig()).ledger.completion_order
