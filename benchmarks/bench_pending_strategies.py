@@ -20,7 +20,7 @@ for every async-penalize proposal, its distance to each design it was
 conditioned against exceeds the duplicate tolerance, AND the loop's
 random-resample fallback never fired during those runs: the separation
 is attributable to the exclusion balls, not to the dedup safety net
-(a counting subclass instruments ``_resample_non_duplicate``).
+(the study's ``describe()["metrics"]["duplicate_resamples"]`` counter).
 
 The measured means land in ``BENCH_pending_strategies.json`` (override
 with ``REPRO_BENCH_JSON``) for the CI artifact upload.
@@ -36,8 +36,9 @@ import numpy as np
 
 from repro.benchfns.constrained import gardner_problem
 from repro.bo.config import AcquisitionConfig, SchedulerConfig
-from repro.bo.loop import SurrogateBO
+from repro.bo.loop import run_study
 from repro.bo.scheduler import FakeClock
+from repro.bo.study import Study
 from repro.gp import GPRegression
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -57,26 +58,15 @@ def gp_factory(rng):
     return GPRegression(n_restarts=1, seed=rng)
 
 
-class ResampleCountingBO(SurrogateBO):
-    """SurrogateBO that counts duplicate-resample fallback invocations.
-
-    Under penalization the exclusion balls must do the spreading; if a
-    proposal only stays clear of the in-flight set because the dedup
-    safety net redrew it at random, that is a silent strategy failure —
-    so the bench asserts this counter stays at zero.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.n_resamples = 0
-
-    def _resample_non_duplicate(self, x_unit):
-        self.n_resamples += 1
-        return super()._resample_non_duplicate(x_unit)
-
-
 def run_one(strategy: str, mode: str, seed: int):
-    """One equal-budget run of the Gardner workload."""
+    """One equal-budget run of the Gardner workload.
+
+    Returns the result and how often a proposal was redrawn because it
+    duplicated a known or in-flight design.  Under penalization the
+    exclusion balls must do the spreading; a proposal that only stays
+    clear of the in-flight set because the dedup safety net redrew it at
+    random is a silent strategy failure, so the bench pins this at zero.
+    """
     if mode == "sync":
         scheduler = SchedulerConfig(
             q=WORKERS, executor="thread", n_eval_workers=WORKERS
@@ -87,18 +77,19 @@ def run_one(strategy: str, mode: str, seed: int):
             n_eval_workers=WORKERS,
             clock=FakeClock(),
         )
-    optimizer = ResampleCountingBO(
+    study = Study(
         gardner_problem(),
-        gp_factory,
+        surrogate_factory=gp_factory,
         n_initial=N_INITIAL,
         max_evaluations=BUDGET,
-        acquisition_config=AcquisitionConfig(
+        acquisition=AcquisitionConfig(
             duplicate_tol=DUPLICATE_TOL, pending_strategy=strategy
         ),
-        scheduler_config=scheduler,
+        scheduler=scheduler,
         seed=seed,
     )
-    return optimizer.run(), optimizer.n_resamples
+    result = run_study(study)
+    return result, study.describe()["metrics"]["duplicate_resamples"]
 
 
 def write_bench_json(payload: dict):

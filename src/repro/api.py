@@ -9,11 +9,15 @@ Three ways in, from highest- to lowest-level:
 
 * **Closed loop** — :class:`NNBO` / :class:`SurrogateBO`: construct with
   a :class:`Problem` and the typed configs, call ``run()``, read the
-  :class:`OptimizationResult`.
-* **Ask/tell** — :class:`Study`: the optimizer as a state machine; your
-  code owns evaluation (external simulator farms, license queues,
-  humans) and feeds results back with ``tell``.  ``checkpoint()`` /
-  ``Study.resume()`` persist a run across process restarts.
+  :class:`OptimizationResult`.  These are configuration plus a driver:
+  ``run()`` builds a :class:`Study` and hands it to :func:`run_study`,
+  which evaluates any study (fresh or resumed) with its own
+  :class:`SchedulerConfig`.
+* **Ask/tell** — :class:`Study`: the optimizer as a state machine that
+  owns its whole state, proposer included; your code owns evaluation
+  (external simulator farms, license queues, humans) and feeds results
+  back with ``tell``.  ``checkpoint()`` / ``Study.resume()`` persist a
+  run across process restarts.
 * **As a service** — :class:`StudyServer` / :class:`StudyClient`: a
   multi-study HTTP server over :class:`StudyStore` (durable, leased,
   resumable) whose client mirrors the ``Study`` API one-for-one —
@@ -67,7 +71,7 @@ from repro.bo.config import (
     TrustRegionConfig,
 )
 from repro.bo.history import EvaluationRecord, OptimizationResult
-from repro.bo.loop import SurrogateBO
+from repro.bo.loop import SurrogateBO, run_study
 from repro.bo.problem import Evaluation, FunctionProblem, Problem
 from repro.bo.scheduler import (
     EvaluationExecutor,
@@ -177,5 +181,6 @@ __all__ = [
     "resolve_sim_backend",
     "result_from_dict",
     "result_to_dict",
+    "run_study",
     "save_result",
 ]

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.bo.design import latin_hypercube
 from repro.bo.history import OptimizationResult
-from repro.bo.loop import _sanitize_targets
+from repro.bo.proposer import _sanitize_targets
 from repro.bo.problem import Evaluation, Problem
 from repro.gp.gpr import GPRegression
 from repro.gp.kernels import make_kernel

@@ -2,8 +2,10 @@
 
 Problem definitions (eq. 1 form), initial experimental designs, run
 histories, the ask/tell :class:`Study` state machine, typed optimizer
-configs, and the generic surrogate-based Bayesian-optimization driver
-(Algorithm 1) that the paper's NN-GP method and the WEIBO baseline share.
+configs, the :class:`~repro.bo.proposer.Proposer` each study owns, and
+the generic surrogate-based Bayesian-optimization driver (Algorithm 1,
+:class:`SurrogateBO` / :func:`run_study`) that the paper's NN-GP method
+and the WEIBO baseline share.
 Evaluation dispatch is pluggable: synchronous q-point batches behind a
 barrier (:class:`EvaluationScheduler`), the fully asynchronous
 refill-on-completion loop of the evaluation farm
@@ -18,7 +20,7 @@ from repro.bo.config import (
 )
 from repro.bo.design import latin_hypercube, random_uniform, sobol_points
 from repro.bo.history import EvaluationRecord, OptimizationResult
-from repro.bo.loop import SurrogateBO
+from repro.bo.loop import SurrogateBO, run_study
 from repro.bo.problem import Evaluation, FunctionProblem, Problem
 from repro.bo.scheduler import (
     AsyncProcessEvaluator,
@@ -60,5 +62,6 @@ __all__ = [
     "latin_hypercube",
     "make_evaluator",
     "random_uniform",
+    "run_study",
     "sobol_points",
 ]

@@ -22,8 +22,10 @@ config object that is valid, and every error message names the offending
 value.  The configs are frozen: derive variants with
 :func:`dataclasses.replace` instead of mutating shared instances.
 
-:class:`~repro.bo.loop.SurrogateBO` / :class:`~repro.core.bo.NNBO` take
-these configs as their only way to set these knobs.
+:class:`~repro.bo.study.Study`, :class:`~repro.bo.loop.SurrogateBO` and
+:class:`~repro.core.bo.NNBO` take these configs as their only way to set
+these knobs, and keep them as ``surrogate_config`` /
+``acquisition_config`` / ``scheduler_config`` — no flat copies.
 """
 
 from __future__ import annotations
@@ -349,7 +351,7 @@ class AcquisitionConfig:
     def resolve_proposal_space(self):
         """A fresh (mutable) proposal-space instance, or ``None`` for full.
 
-        Each optimizer builds its own instance: trust regions carry
+        Each study builds its own instance: trust regions carry
         adaptive state, so sharing one across studies would couple their
         traces.
         """

@@ -1,10 +1,9 @@
 """Ask/tell optimizer core: the BO loop inverted into a state machine.
 
-The paper's Algorithm 1 is a propose -> simulate -> absorb cycle.  The
-historical ``SurrogateBO.run()`` owned all three stages, so only the
-executors this library ships could drive simulations.  :class:`Study`
-inverts that control flow: it owns the optimizer state — surrogate bank,
-history, proposal ledger, RNG, and the pending set — and exposes it as an
+The paper's Algorithm 1 is a propose -> simulate -> absorb cycle.
+:class:`Study` owns the whole optimizer state — history, proposal ledger,
+RNG, pending set, and the :class:`~repro.bo.proposer.Proposer` that holds
+the surrogates, acquisition and proposal space — and exposes it as an
 ask/tell protocol, so *any* evaluation backend (a SPICE license queue, a
 cluster scheduler, a human at a lab bench) can supply results at its own
 pace::
@@ -17,8 +16,10 @@ pace::
         study.tell(trial, my_simulator(trial.x))
     print(study.best())
 
-``SurrogateBO.run()`` — through the synchronous batch scheduler or the
-asynchronous farm driver — is a thin driver over this class, and the
+``ask`` is the "propose" stage (delegated to the proposer), ``tell`` the
+"absorb" stage; simulation is the caller's.  ``SurrogateBO.run()`` and
+:func:`~repro.bo.loop.run_study` — through the synchronous batch
+scheduler or the asynchronous farm driver — only pump this cycle, and the
 pinned PR-2/3/4 traces are bitwise unchanged:
 
 * telling each ``ask()`` result immediately (serial, q = 1) reproduces
@@ -32,8 +33,8 @@ pinned PR-2/3/4 traces are bitwise unchanged:
   recorded completion order reproduces an asynchronous run bitwise.
 
 :meth:`checkpoint` / :meth:`Study.resume` persist the whole state machine
-(history, ledger, RNG stream, pending set, and — under
-``async_refit="fantasy-only"`` — the warm surrogate bank) through
+(history, ledger, RNG stream, pending set, proposal-space state and —
+whenever the live fit would be reused — the warm surrogate bank) through
 :mod:`repro.utils.serialization`, so a killed 10k-evaluation run restarts
 losslessly: a resume at any landing continues on the exact trace of the
 uninterrupted run.
@@ -42,17 +43,19 @@ uninterrupted run.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.acquisition.fantasy import FantasyModelSet
+from repro.bo.config import AcquisitionConfig, SchedulerConfig
 from repro.bo.design import make_design
 from repro.bo.history import EvaluationRecord, OptimizationResult
-from repro.bo.loop import SurrogateBO, _IterationModels, _sanitize_new_target
 from repro.bo.problem import Evaluation, Problem
+from repro.bo.proposer import Proposer, check_setup
 from repro.bo.scheduler import ProposalLedger
+from repro.utils.rng import ensure_rng
 
 CHECKPOINT_FORMAT = "repro.study/v1"
 
@@ -144,21 +147,27 @@ class Study:
     problem:
         The :class:`~repro.bo.problem.Problem` to minimize.
     surrogate:
-        A :class:`~repro.bo.config.SurrogateConfig` — builds the paper's
-        NN-feature-GP ensemble optimizer (:class:`~repro.core.bo.NNBO`).
-        Mutually exclusive with the explicit factories below.
+        A :class:`~repro.bo.config.SurrogateConfig` — the paper's
+        NN-feature-GP ensemble (the surrogate :class:`~repro.core.bo.NNBO`
+        runs).  Mutually exclusive with the explicit factories below.
     surrogate_factory, surrogate_bank_factory:
-        Explicit surrogate sources (the :class:`~repro.bo.loop.SurrogateBO`
-        extension point) for GP baselines or custom models.
+        Explicit surrogate sources (as on
+        :class:`~repro.bo.loop.SurrogateBO`) for GP baselines or custom
+        models.
     acquisition:
         An :class:`~repro.bo.config.AcquisitionConfig` (defaults apply).
     scheduler:
         A :class:`~repro.bo.config.SchedulerConfig`.  A standalone study
         only reads its concurrency-policy fields (``async_refit``,
         ``async_full_refit_every``, worker counts for the refit period);
-        the executor fields matter when a driver evaluates the trials.
-    n_initial, max_evaluations, initial_design, acq_maximizer, seed, name:
+        the executor fields matter when a driver
+        (:func:`~repro.bo.loop.run_study`) evaluates the trials.
+    n_initial, max_evaluations, initial_design, acq_maximizer, name:
         As on :class:`~repro.bo.loop.SurrogateBO`.
+    seed:
+        ``None``, an int, or a :class:`numpy.random.Generator` — passing
+        a generator shares its stream (``SurrogateBO.run()`` passes the
+        optimizer's, so repeated runs continue one stream).
 
     Construction consumes the RNG exactly like the legacy ``run()`` did
     (the initial design is drawn up front), so a study and a legacy run
@@ -180,52 +189,54 @@ class Study:
         acq_maximizer=None,
         seed=None,
         name: str | None = None,
-        _engine: SurrogateBO | None = None,
         _defer_initial: bool = False,
     ):
-        if _engine is not None:
-            self.optimizer = _engine
-        elif surrogate is not None:
+        self.acquisition_config = acquisition or AcquisitionConfig()
+        self.scheduler_config = scheduler or SchedulerConfig()
+        #: the :class:`~repro.bo.config.SurrogateConfig`, or ``None`` for
+        #: explicit factories
+        self.surrogate_config = surrogate
+        self.algorithm_name = "SurrogateBO"
+        if surrogate is not None:
             if surrogate_factory is not None or surrogate_bank_factory is not None:
                 raise StudyError(
                     "pass either surrogate=SurrogateConfig(...) or explicit "
                     f"factories, not both (got surrogate={surrogate!r} and "
                     "surrogate_factory/surrogate_bank_factory)"
                 )
-            # NNBO lives above the driver layer; imported here so that
-            # importing repro.bo.study never drags in repro.core eagerly
-            from repro.core.bo import NNBO
+            # the surrogate layer lives above the driver layer; imported
+            # here so importing repro.bo.study never drags in repro.core
+            from repro.core.bo import NNBO, surrogate_factories
 
-            self.optimizer = NNBO(
-                problem,
-                n_initial=n_initial,
-                max_evaluations=max_evaluations,
-                initial_design=initial_design,
-                name=name,
-                acq_maximizer=acq_maximizer,
-                surrogate=surrogate,
-                acquisition_config=acquisition,
-                scheduler_config=scheduler,
-                seed=seed,
+            surrogate_factory, surrogate_bank_factory = surrogate_factories(
+                surrogate,
+                problem.dim,
+                self.acquisition_config.acquisition,
+                self.scheduler_config.q,
             )
-        else:
-            self.optimizer = SurrogateBO(
-                problem,
-                surrogate_factory,
-                n_initial=n_initial,
-                max_evaluations=max_evaluations,
-                initial_design=initial_design,
-                acq_maximizer=acq_maximizer,
-                surrogate_bank_factory=surrogate_bank_factory,
-                acquisition_config=acquisition,
-                scheduler_config=scheduler,
-                seed=seed,
-                name=name,
-            )
-        self.problem = self.optimizer.problem
-        self.result = OptimizationResult(
-            self.problem.name, self.optimizer.algorithm_name
+            self.algorithm_name = NNBO.algorithm_name
+        if name is not None:
+            self.algorithm_name = name
+        check_setup(
+            n_initial, max_evaluations, surrogate_factory,
+            surrogate_bank_factory, self.scheduler_config,
         )
+        self.problem = problem
+        self.n_initial = int(n_initial)
+        self.max_evaluations = int(max_evaluations)
+        self.initial_design = str(initial_design)
+        #: one stream drives design, fits and proposals
+        self.rng = ensure_rng(seed)
+        self._proposer = Proposer(
+            problem,
+            surrogate_factory=surrogate_factory,
+            surrogate_bank_factory=surrogate_bank_factory,
+            acquisition_config=self.acquisition_config,
+            scheduler_config=self.scheduler_config,
+            acq_maximizer=acq_maximizer,
+            rng=self.rng,
+        )
+        self.result = OptimizationResult(self.problem.name, self.algorithm_name)
         self.ledger = ProposalLedger()
         self.result.ledger = self.ledger
         self._unit_x: list[np.ndarray] = []
@@ -236,29 +247,12 @@ class Study:
         self._next_id = 0
         self._iteration = 0
         self._cache_hits0, self._cache_misses0 = self.problem.cache_stats
-        # streaming-proposer state (the refit policy of the async loop)
-        cfg = self.optimizer.scheduler_config
-        every = cfg.async_full_refit_every
-        self._full_refit_every = (
-            max(1, cfg.resolve_in_flight()) if every is None else every
-        )
-        self._fitted: _IterationModels | None = None
-        self._fantasy_set: FantasyModelSet | None = None
-        self._n_fantasied = 0
-        self._landings_since_fit = 0
-        self._needs_refit = True
         if not _defer_initial:
             self._generate_initial()
 
-    @classmethod
-    def from_optimizer(cls, optimizer: SurrogateBO) -> "Study":
-        """A study sharing an existing optimizer's configuration and RNG."""
-        return cls(optimizer.problem, _engine=optimizer)
-
     def _generate_initial(self) -> None:
-        bo = self.optimizer
         designs = make_design(
-            bo.initial_design, bo.n_initial, self.problem.dim, bo.rng
+            self.initial_design, self.n_initial, self.problem.dim, self.rng
         )
         for j, u in enumerate(designs):
             u = np.asarray(u, dtype=float)
@@ -277,17 +271,10 @@ class Study:
     # -- introspection ------------------------------------------------------------
 
     @property
-    def rng(self) -> np.random.Generator:
-        """The study's RNG (one stream drives design, fits and proposals)."""
-        return self.optimizer.rng
-
-    @property
-    def n_initial(self) -> int:
-        return self.optimizer.n_initial
-
-    @property
-    def max_evaluations(self) -> int:
-        return self.optimizer.max_evaluations
+    def proposal_space(self):
+        """The active :class:`~repro.acquisition.spaces.ProposalSpace`, or
+        ``None`` for the full box."""
+        return self._proposer.space
 
     @property
     def n_evaluations(self) -> int:
@@ -336,10 +323,11 @@ class Study:
         prediction is a pure read — no RNG, no state mutation — so
         calling it never perturbs the study's trace.
         """
-        if self._fitted is None:
+        fitted = self._proposer.fitted
+        if fitted is None:
             return None
         u = np.atleast_2d(np.asarray(u, dtype=float))
-        _, variance = self._fitted.objective.predict(u)
+        _, variance = fitted.objective.predict(u)
         return float(np.sqrt(max(float(np.mean(variance)), 0.0)))
 
     def describe(self) -> dict:
@@ -369,20 +357,17 @@ class Study:
                 ),
             }
         digests = {
-            "acquisition": serialization.config_digest(
-                self.optimizer.acquisition_config
-            ),
-            "scheduler": serialization.config_digest(
-                self.optimizer.scheduler_config
-            ),
+            "acquisition": serialization.config_digest(self.acquisition_config),
+            "scheduler": serialization.config_digest(self.scheduler_config),
         }
-        surrogate_config = getattr(self.optimizer, "surrogate_config", None)
-        if surrogate_config is not None:
-            digests["surrogate"] = serialization.config_digest(surrogate_config)
-        space = self.optimizer.proposal_space
+        if self.surrogate_config is not None:
+            digests["surrogate"] = serialization.config_digest(
+                self.surrogate_config
+            )
+        space = self.proposal_space
         return {
             "problem": str(self.problem.name),
-            "algorithm": str(self.optimizer.algorithm_name),
+            "algorithm": str(self.algorithm_name),
             "dim": int(self.problem.dim),
             "n_constraints": int(self.problem.n_constraints),
             "n_initial": int(self.n_initial),
@@ -402,10 +387,15 @@ class Study:
                 "hits": int(self.result.cache_hits),
                 "misses": int(self.result.cache_misses),
             },
-            "async_refit": str(self.optimizer.async_refit),
+            "async_refit": str(self.scheduler_config.async_refit),
             "proposal_space": "full" if space is None else str(space.name),
             "config_digests": digests,
             "checkpoint_format": CHECKPOINT_FORMAT,
+            # process-local counters: not checkpointed, read by no decision
+            "metrics": {
+                "duplicate_resamples": int(self._proposer.n_duplicate_resamples),
+                "duplicate_fallbacks": int(self._proposer.n_duplicate_fallbacks),
+            },
         }
 
     # -- ask ---------------------------------------------------------------------
@@ -492,13 +482,12 @@ class Study:
         self, x_unit: np.ndarray, speculative: bool = False
     ) -> Trial:
         """One proposal conditioned on the current pending set."""
-        bo = self.optimizer
         pending = list(self._pending.values())
-        pick = self._propose_streaming(x_unit, [t.u for t in pending])
+        pick = self._proposer.propose(x_unit, self.result, [t.u for t in pending])
         entry = self.ledger.open(
             pick,
             tuple(t.proposal_id for t in pending),
-            strategy=bo.pending_strategy,
+            strategy=self.acquisition_config.pending_strategy,
             speculative=speculative,
         )
         trial = Trial(
@@ -517,7 +506,6 @@ class Study:
 
     def _ask_batch(self, x_unit: np.ndarray, q: int) -> list[Trial]:
         """One greedy q-point proposal batch (no outstanding trials)."""
-        bo = self.optimizer
         if self._pending:
             raise StudyError(
                 f"ask(n={q}) proposes a joint batch and requires an empty "
@@ -527,13 +515,13 @@ class Study:
             )
         self._iteration += 1
         base = self.result.n_evaluations
-        picks = bo._propose_batch(x_unit, self.result, q)
+        picks = self._proposer.propose_batch(x_unit, self.result, q)
         trials: list[Trial] = []
         for j, pick in enumerate(picks):
             entry = self.ledger.open(
                 pick,
                 tuple(t.proposal_id for t in trials),
-                strategy=bo.pending_strategy,
+                strategy=self.acquisition_config.pending_strategy,
             )
             trial = Trial(
                 id=self._next_id,
@@ -586,7 +574,7 @@ class Study:
         evaluation = self._coerce_evaluation(evaluation)
         del self._pending[trial_id]
         record_index = self.result.n_evaluations
-        space = self.optimizer.proposal_space
+        space = self.proposal_space
         improved = (
             self._improves_incumbent(evaluation)
             if (task.phase == "search" and space is not None)
@@ -620,7 +608,7 @@ class Study:
         self._told.add(trial_id)
         self._sync_cache_counters()
         if task.phase == "search":
-            self._absorb(task.u, evaluation)
+            self._proposer.absorb(task.u, evaluation)
         if improved is not None:
             space.observe(improved)
         return self.result.records[-1]
@@ -724,255 +712,63 @@ class Study:
         self.result.cache_hits = hits - self._cache_hits0
         self.result.cache_misses = misses - self._cache_misses0
 
-    # -- streaming proposer (the async refit policy) -------------------------------
-
-    def _propose_streaming(self, x_unit: np.ndarray, pending_units) -> np.ndarray:
-        """One proposal conditioned on ``pending_units``.
-
-        The refit policy follows the scheduler config: ``"full"`` rebuilds
-        fresh surrogates after every landing, ``"fantasy-only"`` reuses
-        the posterior-absorbed models with warm full refits every
-        ``async_full_refit_every`` landings.  How the pending set enters
-        the acquisition follows the acquisition config's
-        ``pending_strategy`` (lies, penalties, or hallucinated bounds).
-        """
-        bo = self.optimizer
-        if self._fitted is None or self._needs_refit:
-            if bo.async_refit == "full" and not pending_units:
-                # the canonical fresh-fit single-point proposal: same
-                # models, same RNG stream — and tools that wrap
-                # ``optimizer._propose`` keep observing every pick
-                pick = bo._propose(x_unit, self.result)
-                fitted = bo._last_fitted
-                if fitted is not None:
-                    self._fitted = fitted
-                    self._fantasy_set = None
-                    self._n_fantasied = 0
-                    self._landings_since_fit = 0
-                    self._needs_refit = False
-                return pick
-            self._refit(x_unit)
-        if bo.acquisition == "wei" and bo.pending_strategy == "penalize":
-            acquisition = bo._make_acquisition(self._fitted, self.result)
-            if pending_units:
-                acquisition = bo._penalized_acquisition(
-                    self._fitted, acquisition, pending_units
-                )
-        else:
-            self._condition_on_pending(pending_units)
-            acquisition = bo._make_acquisition(self._fitted, self.result)
-        bo._prepare_proposal_space(x_unit, self.result)
-        pick = bo.acq_maximizer.maximize(acquisition, bo.problem.dim, bo.rng)
-        if pending_units:
-            known = np.vstack(
-                [x_unit]
-                + [np.asarray(u, dtype=float)[None, :] for u in pending_units]
-            )
-        else:
-            known = x_unit
-        if bo._is_duplicate(pick, known):
-            pick = bo._resample_non_duplicate(known)
-        return pick
-
-    def _refit(self, x_unit: np.ndarray) -> None:
-        """Rebuild the iteration models (warm-starting the bank when allowed)."""
-        bo = self.optimizer
-        warm_bank = (
-            self._fitted.bank
-            if (
-                bo.async_refit == "fantasy-only"
-                and self._fitted is not None
-                and self._fitted.bank is not None
-            )
-            else None
-        )
-        if warm_bank is not None:
-            # periodic full refit under "fantasy-only": keep the bank so
-            # training warm-starts from the already-learned weights
-            objective, constraint_ys, targets = bo._sanitized_targets(self.result)
-            warm_bank.clear_fantasies(update=False)  # fit rebuilds anyway
-            warm_bank.fit(x_unit, targets)
-            self._fitted = _IterationModels(
-                objective=warm_bank.target_model(0),
-                constraints=[
-                    warm_bank.target_model(1 + i)
-                    for i in range(bo.problem.n_constraints)
-                ],
-                bank=warm_bank,
-                x=x_unit,
-                objective_y=objective,
-                constraint_ys=constraint_ys,
-            )
-        else:
-            self._fitted = bo._fit_surrogates(x_unit, self.result)
-        self._fantasy_set = None
-        self._n_fantasied = 0
-        self._landings_since_fit = 0
-        self._needs_refit = False
-
-    def _condition_on_pending(self, pending_units) -> None:
-        """Fantasy-condition the current models on the in-flight designs.
-
-        Serves both conditioning strategies: ``"fantasy"`` applies the
-        configured lie, ``"hallucinate"`` the believer mean; ``"penalize"``
-        never calls this — its posterior stays clean.  Bank path: the
-        fantasy stack is rebuilt from scratch each proposal (posterior-only
-        updates are cheap), so it always mirrors the exact pending set even
-        after landings removed members.  Legacy per-target models mutate in
-        place and only support a growing pending set — guaranteed because
-        the legacy path always runs ``async_refit="full"``, which refits
-        after every landing.
-        """
-        bo = self.optimizer
-        fitted = self._fitted
-        if bo.acquisition != "wei":
-            # Thompson diversifies by posterior sampling, not by lies
-            return
-        if fitted.bank is not None:
-            # with pending lies about to be re-applied, the intermediate
-            # fantasy-free posterior would never be read — skip its rebuild
-            fitted.bank.clear_fantasies(update=not pending_units)
-            for u in pending_units:
-                bo._apply_fantasy(fitted, None, np.asarray(u, dtype=float))
-            return
-        if not pending_units:
-            return
-        if self._fantasy_set is None:
-            self._fantasy_set = FantasyModelSet(
-                fitted.x,
-                fitted.objective,
-                fitted.objective_y,
-                fitted.constraints,
-                fitted.constraint_ys,
-            )
-        for u in pending_units[self._n_fantasied:]:
-            bo._apply_fantasy(fitted, self._fantasy_set, np.asarray(u, dtype=float))
-        self._n_fantasied = len(pending_units)
-
-    def _absorb(self, u: np.ndarray, evaluation: Evaluation) -> None:
-        """Absorb one landed evaluation according to the refit policy."""
-        bo = self.optimizer
-        self._landings_since_fit += 1
-        if bo.async_refit == "full" or self._fitted is None:
-            self._needs_refit = True
-            return
-        if self._landings_since_fit >= self._full_refit_every:
-            self._needs_refit = True
-            return
-        # "fantasy-only" implies a bank (checked at optimizer construction)
-        fitted = self._fitted
-        # observe() rebuilds the posterior; the intermediate fantasy-free
-        # rebuild would be wasted work on the landing hot path
-        fitted.bank.clear_fantasies(update=False)
-        u = np.asarray(u, dtype=float)
-        obj = _sanitize_new_target(evaluation.objective, fitted.objective_y)
-        cons = [
-            _sanitize_new_target(c, ys)
-            for c, ys in zip(evaluation.constraints, fitted.constraint_ys)
-        ]
-        fitted.bank.observe(u, np.array([obj, *cons]))
-        # the absorb moved the posterior-mean surface: a cached Lipschitz
-        # estimate would mis-scale the penalization exclusion balls until
-        # the next full refit, so force a fresh sweep on the next use
-        fitted.lipschitz = None
-        # keep the training-data view consistent for future lies/refits
-        fitted.x = np.vstack([fitted.x, u[None, :]])
-        fitted.objective_y = np.append(fitted.objective_y, obj)
-        fitted.constraint_ys = [
-            np.append(ys, c) for ys, c in zip(fitted.constraint_ys, cons)
-        ]
-
     # -- persistence --------------------------------------------------------------
 
     def checkpoint(self, path) -> Path:
-        """Write the complete study state to ``path`` (JSON).
+        """Write the complete study state to ``path`` (JSON), atomically.
 
         Captures the committed history (with ledger provenance), the
-        pending set, the undrawn initial design, the RNG stream position
-        and the iteration counters — everything needed for
-        :meth:`resume` to continue the run losslessly.  The resumed trace
-        is bitwise identical to the uninterrupted one at any landing
-        (after a :meth:`tell`, before further asks: the next ask refits
-        from the restored history and RNG position) and, on the batched
-        engine, also between asks: whenever the live fit would be reused
-        by the next proposal, the warm surrogate state (bank weights,
-        scales and the incrementally sanitized targets) is serialized
-        alongside and restored exactly, so a checkpoint taken right after
-        an ask — the BO service checkpoints after *every* state mutation —
-        continues without consuming RNG the uninterrupted run would not
-        have.  Legacy per-target surrogates (``surrogate_factory``) carry
-        no serializable warm state; their between-ask resumes refit and
-        are deterministic but not bitwise.
+        pending set, the undrawn initial design, the RNG stream position,
+        the iteration counters and the proposer's state — everything
+        :meth:`resume` needs to continue the run losslessly.  The resumed
+        trace is bitwise identical to the uninterrupted one at any landing
+        and, on the batched engine, also between asks: whenever the live
+        fit would be reused by the next proposal, the warm surrogate
+        travels along (see :meth:`~repro.bo.proposer.Proposer.state_to_dict`),
+        so a checkpoint taken right after an ask — the BO service
+        checkpoints after *every* state mutation — continues without
+        consuming RNG the uninterrupted run would not have.  Per-target
+        surrogates carry no warm state; their between-ask resumes refit
+        and are deterministic but not bitwise.
+
+        The JSON goes to a sibling ``<name>.tmp`` that replaces ``path``
+        only once complete: a crash mid-write leaves the previous
+        checkpoint intact, and a failed write leaves no ``.tmp`` behind.
         """
         from repro.utils import serialization
 
         payload = {
             "format": CHECKPOINT_FORMAT,
             "problem": self.problem.name,
-            "algorithm": self.optimizer.algorithm_name,
+            "algorithm": self.algorithm_name,
             "n_initial": self.n_initial,
             "max_evaluations": self.max_evaluations,
-            "initial_design": self.optimizer.initial_design,
+            "initial_design": self.initial_design,
             "acquisition_config": serialization.config_payload(
-                self.optimizer.acquisition_config
+                self.acquisition_config
             ),
             "scheduler_config": serialization.config_payload(
-                self.optimizer.scheduler_config
+                self.scheduler_config
             ),
             "rng_state": serialization.rng_state_to_dict(self.rng),
             "iteration": self._iteration,
             "next_trial_id": self._next_id,
             "told": sorted(self._told),
             "retracted": sorted(self._retracted),
-            "landings_since_fit": self._landings_since_fit,
             "result": serialization.result_to_dict(self.result),
             "unit_x": [u.tolist() for u in self._unit_x],
             "initial_queue": [_trial_to_dict(t) for t in self._initial_queue],
             "pending": [_trial_to_dict(t) for t in self._pending.values()],
+            **self._proposer.state_to_dict(),
         }
-        space = self.optimizer.proposal_space
-        if space is not None:
-            # adaptive proposal-space state (trust-region length/counters)
-            # is live optimizer state: a resumed study must continue with
-            # the exact region the interrupted run had reached
-            payload["proposal_space"] = {
-                "name": space.name,
-                "state": space.state_to_dict(),
-            }
-        fitted = self._fitted
-        if (
-            fitted is not None
-            and fitted.bank is not None
-            and (
-                self.optimizer.async_refit == "fantasy-only"
-                or not self._needs_refit
-            )
-        ):
-            # the warm bank is live state under "fantasy-only" (absorbed
-            # landings and warm-started periodic refits both read it) and,
-            # under "full", whenever the current fit is still reusable
-            # (needs_refit False — i.e. the checkpoint was taken after an
-            # ask, before the next landing): the uninterrupted run would
-            # serve the next streaming proposal from this fit without
-            # touching the RNG, so a bitwise resume must restore it rather
-            # than refit (fantasies are rebuilt from the pending set per
-            # proposal and are deliberately dropped)
-            payload["needs_refit"] = bool(self._needs_refit)
-            payload["warm_surrogate"] = {
-                "bank": serialization.bank_state_to_dict(fitted.bank),
-                "objective_y": np.asarray(
-                    fitted.objective_y, dtype=float
-                ).tolist(),
-                "constraint_ys": [
-                    np.asarray(ys, dtype=float).tolist()
-                    for ys in fitted.constraint_ys
-                ],
-                "lipschitz": (
-                    None if fitted.lipschitz is None else float(fitted.lipschitz)
-                ),
-            }
         path = Path(path)
-        path.write_text(json.dumps(payload, indent=1))
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            tmp.write_text(json.dumps(payload, indent=1))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return path
 
     @classmethod
@@ -1039,29 +835,18 @@ class Study:
         study._told = set(int(i) for i in payload["told"])
         study._retracted = set(int(i) for i in payload.get("retracted", []))
         saved_space = payload.get("proposal_space")
-        space = study.optimizer.proposal_space
-        if saved_space is not None:
-            if space is None or space.name != saved_space["name"]:
-                built = space.name if space is not None else "full"
-                raise CheckpointMismatch(
-                    "checkpoint field 'proposal_space' is "
-                    f"{saved_space['name']!r} but resume() built {built!r}; "
-                    "pass the same AcquisitionConfig as the original study",
-                    field="proposal_space",
-                    expected=saved_space["name"],
-                    actual=built,
-                )
-            space.restore_state(saved_space["state"])
-        elif space is not None:
+        saved = "full" if saved_space is None else saved_space["name"]
+        space = study.proposal_space
+        built = "full" if space is None else space.name
+        if saved != built:
             raise CheckpointMismatch(
-                "checkpoint field 'proposal_space' is 'full' but resume() "
-                f"built {space.name!r}; pass the same AcquisitionConfig as "
-                "the original study",
+                f"checkpoint field 'proposal_space' is {saved!r} but "
+                f"resume() built {built!r}; pass the same AcquisitionConfig "
+                "as the original study",
                 field="proposal_space",
-                expected="full",
-                actual=space.name,
+                expected=saved,
+                actual=built,
             )
-        study._landings_since_fit = int(payload["landings_since_fit"])
         study._initial_queue = [
             _trial_from_dict(d, problem) for d in payload["initial_queue"]
         ]
@@ -1074,40 +859,12 @@ class Study:
         hits, misses = problem.cache_stats
         study._cache_hits0 = hits - study.result.cache_hits
         study._cache_misses0 = misses - study.result.cache_misses
-        warm = payload.get("warm_surrogate")
-        if warm is not None and study.optimizer.surrogate_bank_factory is not None:
-            # rebuild the warm bank under a throwaway RNG (the study's
-            # stream must stay exactly where the checkpoint left it) and
-            # overwrite the fresh weights with the serialized state
-            bank = study.optimizer.surrogate_bank_factory(
-                np.random.default_rng(0), 1 + problem.n_constraints
-            )
-            serialization.restore_bank_state(bank, warm["bank"])
-            study._fitted = _IterationModels(
-                objective=bank.target_model(0),
-                constraints=[
-                    bank.target_model(1 + i)
-                    for i in range(problem.n_constraints)
-                ],
-                bank=bank,
-                x=np.asarray(bank.gp._x_train, dtype=float),
-                objective_y=np.asarray(warm["objective_y"], dtype=float),
-                constraint_ys=[
-                    np.asarray(ys, dtype=float)
-                    for ys in warm["constraint_ys"]
-                ],
-                lipschitz=warm.get("lipschitz"),
-            )
-            study._needs_refit = bool(payload.get("needs_refit", True))
-        else:
-            # no warm surrogate travelled with the checkpoint; force a
-            # fresh fit on the first post-resume proposal
-            study._needs_refit = True
+        study._proposer.restore_state(payload)
         return study
 
     def __repr__(self) -> str:
         return (
-            f"Study({self.optimizer.algorithm_name} on {self.problem.name!r}: "
+            f"Study({self.algorithm_name} on {self.problem.name!r}: "
             f"{self.result.n_evaluations}/{self.max_evaluations} committed, "
             f"{len(self._pending)} pending)"
         )

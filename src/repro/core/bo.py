@@ -6,10 +6,12 @@ modelled quantity, trains them by marginal-likelihood back-propagation,
 combines them by moment matching (eq. 13) and maximizes the wEI
 acquisition (eq. 7) to pick the next simulation.
 
-Model hyper-parameters live in a typed
-:class:`~repro.bo.config.SurrogateConfig`, next to the driver-level
-:class:`~repro.bo.config.AcquisitionConfig` and
-:class:`~repro.bo.config.SchedulerConfig`.
+The surrogate is described by a typed
+:class:`~repro.bo.config.SurrogateConfig`; :func:`surrogate_factories`
+turns one into the surrogate source the proposer consumes — the stacked
+:class:`~repro.core.batched_gp.SurrogateBank` factory on the batched
+engine, or a per-target :class:`DeepEnsemble` factory on the loop engine.
+``NNBO`` and ``Study(surrogate=...)`` both build their source through it.
 """
 
 from __future__ import annotations
@@ -50,6 +52,27 @@ class _TrainedEnsemble:
         return self._ensemble.members
 
 
+def surrogate_factories(config: SurrogateConfig, dim: int, acquisition: str, q: int):
+    """``(surrogate_factory, surrogate_bank_factory)`` for a surrogate config.
+
+    Exactly one of the pair is set, by the engine
+    :meth:`~repro.bo.config.SurrogateConfig.resolve_engine` picks for the
+    acquisition family and batch size: the bank factory on
+    ``"batched"``, the per-target ensemble factory on ``"loop"``.
+    """
+    if config.resolve_engine(acquisition, q) == "batched":
+        return None, config.bank_factory(dim)
+    member_factory = config.member_factory(dim)
+
+    def surrogate_factory(rng):
+        ensemble = DeepEnsemble.create(
+            member_factory, n_members=config.n_ensemble, seed=rng
+        )
+        return _TrainedEnsemble(ensemble, config.trainer_factory)
+
+    return surrogate_factory, None
+
+
 class NNBO(SurrogateBO):
     """Bayesian optimization using the neural-network GP (paper Algorithm 1).
 
@@ -67,7 +90,7 @@ class NNBO(SurrogateBO):
         training engine (``"batched"`` fits the objective and all
         constraint ensembles as one stacked tensor program; ``"loop"``
         trains the K x T members one by one; ``"auto"`` picks batched
-        except for single-point Thompson).
+        except for single-point Thompson).  Kept as ``surrogate_config``.
     acquisition_config, scheduler_config:
         Driver-level configs, as on :class:`~repro.bo.loop.SurrogateBO`.
     acq_maximizer, seed, verbose, callback:
@@ -92,36 +115,15 @@ class NNBO(SurrogateBO):
         acquisition_config: AcquisitionConfig | None = None,
         scheduler_config: SchedulerConfig | None = None,
     ):
-        surrogate = surrogate or SurrogateConfig()
+        self.surrogate_config = surrogate or SurrogateConfig()
         acquisition_config = acquisition_config or AcquisitionConfig()
         scheduler_config = scheduler_config or SchedulerConfig()
-        self.surrogate_config = surrogate
-        # flat mirrors (historical introspection surface)
-        self.n_ensemble = surrogate.n_ensemble
-        self.hidden_dims = surrogate.hidden_dims
-        self.n_features = surrogate.n_features
-        self.activation = surrogate.activation
-        self.output_activation = surrogate.output_activation
-        self.epochs = surrogate.epochs
-        self.lr = surrogate.lr
-        self.pretrain_epochs = surrogate.pretrain_epochs
-        self.patience = surrogate.patience
-        self.engine = surrogate.resolve_engine(
-            acquisition_config.acquisition, scheduler_config.q
+        surrogate_factory, surrogate_bank_factory = surrogate_factories(
+            self.surrogate_config,
+            problem.dim,
+            acquisition_config.acquisition,
+            scheduler_config.q,
         )
-        self.backend = surrogate.backend
-        self.device = surrogate.device
-        self.linalg_threads = surrogate.linalg_threads
-
-        member_factory = surrogate.member_factory(problem.dim)
-        trainer_factory = surrogate.trainer_factory
-
-        def surrogate_factory(rng):
-            ensemble = DeepEnsemble.create(
-                member_factory, n_members=surrogate.n_ensemble, seed=rng
-            )
-            return _TrainedEnsemble(ensemble, trainer_factory)
-
         super().__init__(
             problem,
             surrogate_factory,
@@ -130,11 +132,7 @@ class NNBO(SurrogateBO):
             initial_design=initial_design,
             name=name,
             acq_maximizer=acq_maximizer,
-            surrogate_bank_factory=(
-                surrogate.bank_factory(problem.dim)
-                if self.engine == "batched"
-                else None
-            ),
+            surrogate_bank_factory=surrogate_bank_factory,
             acquisition_config=acquisition_config,
             scheduler_config=scheduler_config,
             seed=seed,

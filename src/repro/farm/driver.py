@@ -3,8 +3,9 @@
 :class:`FarmStudyDriver` is the library's one asynchronous
 refill-on-completion loop: it keeps each study's in-flight target of
 evaluations running, tells every landing to its study in completion
-order and asks for a replacement at once.  ``SurrogateBO.run()`` with an
-``async-*`` executor drives a private single-tenant
+order and asks for a replacement at once.  :func:`~repro.bo.loop.run_study`
+(and so ``SurrogateBO.run()``) with an ``async-*`` executor drives a
+private single-tenant
 :class:`~repro.farm.farm.EvaluationFarm` through it; several concurrent
 studies can also share one farm.  On top of the fixed refill it offers
 three adaptive behaviours:

@@ -505,10 +505,7 @@ class StudyStore:
     def _checkpoint(self, entry: _Entry) -> None:
         if entry.deleted:
             raise UnknownStudy(f"study {entry.name!r} was deleted")
-        path = self._study_path(entry.name)
-        tmp = path.with_name(path.name + ".tmp")
-        entry.study.checkpoint(tmp)
-        os.replace(tmp, path)
+        entry.study.checkpoint(self._study_path(entry.name))
 
     def _touch(self, entry: _Entry) -> None:
         entry.last_used = next(self._use_counter)

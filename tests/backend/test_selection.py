@@ -147,8 +147,6 @@ class TestConfigWiring:
         )
         assert bo.surrogate_config.backend == "numpy"
         assert bo.surrogate_config.linalg_threads == 2
-        assert bo.backend == "numpy"
-        assert bo.linalg_threads == 2
 
 
 class TestTorchEquivalence:

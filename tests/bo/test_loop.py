@@ -5,8 +5,10 @@ import pytest
 
 from repro.acquisition.maximize import AcquisitionMaximizer
 from repro.bo.config import AcquisitionConfig
-from repro.bo.loop import SurrogateBO, _sanitize_targets
+from repro.bo.loop import SurrogateBO, run_study
+from repro.bo.proposer import _sanitize_targets
 from repro.bo.problem import FunctionProblem
+from repro.bo.study import Study
 from repro.benchfns import toy_constrained_quadratic
 from repro.core import BatchedFeatureGPTrainer, SurrogateBank
 from repro.gp import GPRegression
@@ -77,11 +79,15 @@ class TestLoopMechanics:
             objective=lambda x: float(x[0]),
             constraints=[lambda x, k=k: float(x[0] - 1 + 0.1 * k) for k in range(5)],
         )
-        bo = SurrogateBO(many, gp_factory, n_initial=4, max_evaluations=5)
-        assert bo.log_space_acq
+        study = Study(
+            many, surrogate_factory=gp_factory, n_initial=4, max_evaluations=5
+        )
+        assert study._proposer.log_space
         few = toy_constrained_quadratic(2)
-        bo = SurrogateBO(few, gp_factory, n_initial=4, max_evaluations=5)
-        assert not bo.log_space_acq
+        study = Study(
+            few, surrogate_factory=gp_factory, n_initial=4, max_evaluations=5
+        )
+        assert not study._proposer.log_space
 
     def test_reproducible_runs(self):
         problem = toy_constrained_quadratic(2)
@@ -137,7 +143,7 @@ class TestBankPath:
         assert bo.surrogate_factory is None
 
     def test_bank_preferred_over_factory(self):
-        """With both sources configured, _propose fits through the bank."""
+        """With both sources configured, the proposer fits through the bank."""
         problem = toy_constrained_quadratic(2)
         calls = []
 
@@ -170,44 +176,48 @@ class TestDuplicateResampling:
     def test_resampled_point_is_not_a_duplicate(self):
         problem = toy_constrained_quadratic(2)
         holder = {}
-        bo = SurrogateBO(
+        acquisition = AcquisitionConfig(duplicate_tol=1e-6)
+        study = Study(
             problem,
-            gp_factory,
+            surrogate_factory=gp_factory,
             n_initial=4,
             max_evaluations=8,
             acq_maximizer=self._ReturnExisting(holder),
-            acquisition_config=AcquisitionConfig(duplicate_tol=1e-6),
+            acquisition=acquisition,
             seed=7,
         )
-        original_propose = bo._propose
-        seen = []
-
-        def spying_propose(x_unit, result):
-            holder["x0"] = x_unit[0]
-            proposal = original_propose(x_unit, result)
-            seen.append((proposal, x_unit.copy()))
-            return proposal
-
-        bo._propose = spying_propose
-        bo.run()
-        assert seen, "search phase never ran"
-        for proposal, x_unit in seen:
-            dists = np.max(np.abs(x_unit - proposal[None, :]), axis=1)
-            assert np.all(dists >= bo.duplicate_tol)
+        initial = study.start_initial()
+        holder["x0"] = initial[0].u
+        for trial in initial:
+            study.tell(trial, problem.evaluate_unit(trial.u))
+        run_study(study)
+        x_unit = problem.scaler.transform(study.result.x_matrix)
+        # every search proposal was the first design again: each was
+        # redrawn, none fell back to a duplicate
+        metrics = study.describe()["metrics"]
+        assert metrics["duplicate_resamples"] == 4
+        assert metrics["duplicate_fallbacks"] == 0
+        for i in range(4, 8):
+            dists = np.max(np.abs(x_unit[:i] - x_unit[i][None, :]), axis=1)
+            assert np.all(dists >= acquisition.duplicate_tol)
 
     def test_resample_is_bounded(self):
         """When every draw is a duplicate the loop terminates anyway."""
         problem = toy_constrained_quadratic(1)
-        bo = SurrogateBO(
-            problem, gp_factory, n_initial=2, max_evaluations=3,
+        study = Study(
+            problem, surrogate_factory=gp_factory, n_initial=2, max_evaluations=3,
             # the whole unit box is "duplicate"
-            acquisition_config=AcquisitionConfig(duplicate_tol=2.0),
+            acquisition=AcquisitionConfig(duplicate_tol=2.0),
             seed=0,
         )
-        x_unit = np.array([[0.5]])
-        proposal = bo._resample_non_duplicate(x_unit)
+        result = run_study(study)
+        proposal = problem.scaler.transform(result.x_matrix)[-1]
         assert proposal.shape == (1,)
         assert 0.0 <= proposal[0] <= 1.0
+        # the bounded redraw ran out and kept a duplicate: counted, not silent
+        metrics = study.describe()["metrics"]
+        assert metrics["duplicate_resamples"] == 1
+        assert metrics["duplicate_fallbacks"] == 1
 
 
 class TestOptimizationQuality:

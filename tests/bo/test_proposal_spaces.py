@@ -20,7 +20,7 @@ import pytest
 
 from repro.acquisition.spaces import SubspaceMaximizer, TrustRegionSpace
 from repro.bo.config import AcquisitionConfig, SchedulerConfig
-from repro.bo.loop import SurrogateBO
+from repro.bo.loop import SurrogateBO, run_study
 from repro.bo.scheduler import FakeClock
 from repro.bo.study import Study, StudyError
 from repro.benchfns import toy_constrained_quadratic
@@ -48,6 +48,18 @@ def make_bo(
         acquisition_config=acquisition,
         scheduler_config=SchedulerConfig(**scheduler),
         seed=seed,
+    )
+
+
+def make_study(proposal_space):
+    """The shared GP run's configuration as an ask/tell study."""
+    return Study(
+        toy_constrained_quadratic(2),
+        surrogate_factory=gp_factory,
+        n_initial=5,
+        max_evaluations=10,
+        acquisition=AcquisitionConfig(proposal_space=proposal_space),
+        seed=11,
     )
 
 
@@ -85,15 +97,15 @@ class TestFullSpaceIsBitwiseDefault:
         assert explicit.ledger.completion_order == reference.ledger.completion_order
 
     def test_full_space_leaves_maximizer_unwrapped(self):
-        bo = make_bo("full")
-        assert bo.proposal_space is None
-        assert not isinstance(bo.acq_maximizer, SubspaceMaximizer)
+        study = make_study("full")
+        assert study.proposal_space is None
+        assert not isinstance(study._proposer.maximizer, SubspaceMaximizer)
 
     def test_subspace_wraps_maximizer(self):
         for space in SPACES:
-            bo = make_bo(space)
-            assert bo.proposal_space is not None
-            assert isinstance(bo.acq_maximizer, SubspaceMaximizer)
+            study = make_study(space)
+            assert study.proposal_space is not None
+            assert isinstance(study._proposer.maximizer, SubspaceMaximizer)
 
 
 @pytest.mark.parametrize("space", SPACES)
@@ -166,19 +178,19 @@ class TestTrustRegionCheckpointResume:
         )
         # the adaptive region state survived verbatim
         assert (
-            resumed.optimizer.proposal_space.state_to_dict()
-            == half.optimizer.proposal_space.state_to_dict()
+            resumed.proposal_space.state_to_dict()
+            == half.proposal_space.state_to_dict()
         )
         drive(resumed)
         assert_traces_equal(resumed.result, uninterrupted.result)
         assert (
-            resumed.optimizer.proposal_space.state_to_dict()
-            == uninterrupted.optimizer.proposal_space.state_to_dict()
+            resumed.proposal_space.state_to_dict()
+            == uninterrupted.proposal_space.state_to_dict()
         )
 
     def test_observe_feeds_the_region(self):
         study = drive(self.make_study())
-        space = study.optimizer.proposal_space
+        space = study.proposal_space
         assert isinstance(space, TrustRegionSpace)
         # 9 search landings were observed: the streak counters moved
         state = space.state_to_dict()
@@ -232,7 +244,7 @@ class TestLineStudy:
             max_evaluations=12,
             seed=5,
         )
-        study.optimizer.run_study(study)
+        run_study(study)
         assert study.result.n_evaluations == 12
         # replay is stable through the streaming path too
         study2 = Study(
@@ -246,5 +258,5 @@ class TestLineStudy:
             max_evaluations=12,
             seed=5,
         )
-        study2.optimizer.run_study(study2)
+        run_study(study2)
         assert_traces_equal(study2.result, study.result)

@@ -17,6 +17,7 @@ from repro.bo.design import make_design
 from repro.bo.history import OptimizationResult
 from repro.bo.loop import SurrogateBO
 from repro.bo.problem import FunctionProblem
+from repro.bo.proposer import Proposer
 from repro.bo.scheduler import (
     EvaluationExecutor,
     ProcessPoolEvaluator,
@@ -71,13 +72,26 @@ def evaluate_and_record(bo: SurrogateBO, u, result, unit_x, phase):
     sync_cache_counters(bo, result)
 
 
+def fresh_proposer(bo: SurrogateBO) -> Proposer:
+    """A proposer with no fitted models, drawing from ``bo``'s RNG."""
+    return Proposer(
+        bo.problem,
+        surrogate_factory=bo.surrogate_factory,
+        surrogate_bank_factory=bo.surrogate_bank_factory,
+        acquisition_config=bo.acquisition_config,
+        scheduler_config=bo.scheduler_config,
+        acq_maximizer=bo.acq_maximizer,
+        rng=bo.rng,
+    )
+
+
 def legacy_run(bo: SurrogateBO) -> OptimizationResult:
     """The pre-scheduler single-point loop, replicated verbatim.
 
-    Drives the same internal helpers (`_propose`, `evaluate_and_record`)
-    in the same order the original ``run()`` did, so any scheduler-induced
-    deviation — extra RNG draws, reordered appends, changed bookkeeping —
-    shows up as a bitwise mismatch.
+    Drives the same steps (a fresh single-point proposal, then
+    `evaluate_and_record`) in the same order the original ``run()`` did,
+    so any scheduler-induced deviation — extra RNG draws, reordered
+    appends, changed bookkeeping — shows up as a bitwise mismatch.
     """
     result = OptimizationResult(bo.problem.name, bo.algorithm_name)
     unit_x: list[np.ndarray] = []
@@ -85,7 +99,7 @@ def legacy_run(bo: SurrogateBO) -> OptimizationResult:
     for u in make_design(bo.initial_design, bo.n_initial, bo.problem.dim, bo.rng):
         evaluate_and_record(bo, u, result, unit_x, phase="initial")
     while result.n_evaluations < bo.max_evaluations:
-        proposal = bo._propose(np.stack(unit_x), result)
+        proposal = fresh_proposer(bo).propose(np.stack(unit_x), result)
         evaluate_and_record(bo, proposal, result, unit_x, phase="search")
     return result
 
@@ -221,7 +235,7 @@ class TestNNBOBatchPaths:
             acquisition_config=AcquisitionConfig(acquisition="thompson"),
             scheduler_config=SchedulerConfig(q=2), seed=1,
         )
-        assert nnbo.engine == "batched"
+        assert nnbo.surrogate_bank_factory is not None
         result = nnbo.run()
         assert result.n_evaluations == 10
 

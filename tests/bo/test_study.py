@@ -18,12 +18,13 @@ Contracts pinned here:
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.bo.config import SchedulerConfig
-from repro.bo.loop import SurrogateBO
+from repro.bo.loop import SurrogateBO, run_study
 from repro.bo.problem import Evaluation
 from repro.bo.scheduler import FakeClock
 from repro.bo.study import (
@@ -137,7 +138,7 @@ class TestManualDrivingMatchesRun:
         for trial in study.start_initial():
             study.tell(trial, study.problem.evaluate_unit(trial.u))
         study.ask(1)  # the last budget slot, left in flight
-        result = study.optimizer.run_study(study)
+        result = run_study(study)
         assert result.n_evaluations == 6
         assert study.n_pending == 0 and study.done
 
@@ -147,7 +148,7 @@ class TestManualDrivingMatchesRun:
         for trial in batched.start_initial():
             batched.tell(trial, batched.problem.evaluate_unit(trial.u))
         batched.ask(1)  # dirty pending set ahead of the q=3 driver loop
-        result = batched.optimizer.run_study(batched)
+        result = run_study(batched)
         assert result.n_evaluations == 12 and batched.n_pending == 0
 
     def test_surrogate_config_path_forwards_design_and_name(self):
@@ -161,8 +162,8 @@ class TestManualDrivingMatchesRun:
             max_evaluations=6,
             seed=0,
         )
-        assert study.optimizer.initial_design == "sobol"
-        assert study.optimizer.algorithm_name == "custom-run"
+        assert study.initial_design == "sobol"
+        assert study.algorithm_name == "custom-run"
         assert study.result.algorithm == "custom-run"
 
     def test_run_study_on_resumable_study(self):
@@ -175,7 +176,7 @@ class TestManualDrivingMatchesRun:
             seed=11,
         ).run()
         study = make_study()
-        result = study.optimizer.run_study(study)
+        result = run_study(study)
         np.testing.assert_array_equal(result.x_matrix, reference.x_matrix)
 
 
@@ -354,7 +355,7 @@ class TestCheckpointResume:
             )
 
         uninterrupted = fresh_study()
-        uninterrupted.optimizer.run_study(uninterrupted)
+        run_study(uninterrupted)
 
         class _Abort(Exception):
             pass
@@ -367,9 +368,8 @@ class TestCheckpointResume:
                 interrupted.checkpoint(path)
                 raise _Abort
 
-        interrupted.optimizer.callback = checkpoint_then_die
         with pytest.raises(_Abort):
-            interrupted.optimizer.run_study(interrupted)
+            run_study(interrupted, callback=checkpoint_then_die)
 
         resumed = Study.resume(
             path,
@@ -379,7 +379,7 @@ class TestCheckpointResume:
         )
         assert resumed.result.n_evaluations == 5 + 3
         assert resumed.n_pending == 2  # the in-flight trials survived
-        resumed.optimizer.run_study(resumed)
+        run_study(resumed)
 
         np.testing.assert_array_equal(
             resumed.result.x_matrix, uninterrupted.result.x_matrix
@@ -427,17 +427,17 @@ class TestCheckpointResume:
             surrogate=_tiny_surrogate(),
             scheduler=scheduler,
         )
-        assert resumed._fitted is not None
-        assert resumed._fitted.bank is not None
-        assert resumed._needs_refit is False
-        np.testing.assert_array_equal(resumed._fitted.x, study._fitted.x)
+        assert resumed._proposer.fitted is not None
+        assert resumed._proposer.fitted.bank is not None
+        assert resumed._proposer.needs_refit is False
+        np.testing.assert_array_equal(resumed._proposer.fitted.x, study._proposer.fitted.x)
         np.testing.assert_array_equal(
-            resumed._fitted.objective_y, study._fitted.objective_y
+            resumed._proposer.fitted.objective_y, study._proposer.fitted.objective_y
         )
         xq = np.random.default_rng(5).uniform(size=(7, 2))
         for t in range(1 + study.problem.n_constraints):
-            m0, v0 = study._fitted.bank.predict_target(t, xq)
-            m1, v1 = resumed._fitted.bank.predict_target(t, xq)
+            m0, v0 = study._proposer.fitted.bank.predict_target(t, xq)
+            m1, v1 = resumed._proposer.fitted.bank.predict_target(t, xq)
             np.testing.assert_array_equal(m0, m1)
             np.testing.assert_array_equal(v0, v1)
 
@@ -458,7 +458,7 @@ class TestCheckpointResume:
             )
 
         uninterrupted = fresh_study()
-        uninterrupted.optimizer.run_study(uninterrupted)
+        run_study(uninterrupted)
 
         class _Abort(Exception):
             pass
@@ -471,9 +471,8 @@ class TestCheckpointResume:
                 interrupted.checkpoint(path)
                 raise _Abort
 
-        interrupted.optimizer.callback = checkpoint_then_die
         with pytest.raises(_Abort):
-            interrupted.optimizer.run_study(interrupted)
+            run_study(interrupted, callback=checkpoint_then_die)
 
         resumed = Study.resume(
             path,
@@ -481,8 +480,8 @@ class TestCheckpointResume:
             surrogate=_tiny_surrogate(),
             scheduler=scheduler,
         )
-        assert resumed._fitted is not None and resumed._fitted.bank is not None
-        resumed.optimizer.run_study(resumed)
+        assert resumed._proposer.fitted is not None and resumed._proposer.fitted.bank is not None
+        run_study(resumed)
 
         np.testing.assert_array_equal(
             resumed.result.x_matrix, uninterrupted.result.x_matrix
@@ -666,6 +665,35 @@ class TestErrorTaxonomy:
             )
         assert err.value.field == "format"
         assert err.value.actual == "something-else"
+
+
+class TestAtomicCheckpoint:
+    def test_failed_write_keeps_the_previous_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        """A crash mid-write must not tear the checkpoint a resume reads."""
+        study = make_study()
+        for trial in study.start_initial():
+            study.tell(trial, study.problem.evaluate_unit(trial.u))
+        path = study.checkpoint(tmp_path / "study.json")
+        trial = study.ask(1)[0]
+        study.tell(trial, study.problem.evaluate_unit(trial.u))
+
+        def torn_write(self, data, *args, **kwargs):
+            with open(self, "w") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", torn_write)
+            with pytest.raises(OSError, match="disk full"):
+                study.checkpoint(path)
+
+        resumed = Study.resume(
+            path, toy_constrained_quadratic(2), surrogate_factory=gp_factory
+        )
+        assert resumed.n_evaluations == 5  # the state before the failed write
+        assert [p.name for p in tmp_path.iterdir()] == ["study.json"]
 
 
 class TestDescribe:

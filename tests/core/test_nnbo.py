@@ -39,7 +39,8 @@ class TestNNBO:
 
     def test_surrogate_factory_builds_configured_ensemble(self):
         problem = toy_constrained_quadratic(2)
-        nnbo = tiny_nnbo(problem, n_ensemble=3)
+        # the per-target factory exists on the loop engine only
+        nnbo = tiny_nnbo(problem, n_ensemble=3, engine="loop")
         surrogate = nnbo.surrogate_factory(np.random.default_rng(0))
         assert isinstance(surrogate, _TrainedEnsemble)
         assert len(surrogate.members) == 3
@@ -50,21 +51,21 @@ class TestNNBO:
     def test_fresh_random_init_each_iteration(self):
         """Algorithm 1 re-initializes hyper-parameters every round: two
         factory calls must give differently initialized networks."""
-        nnbo = tiny_nnbo(toy_constrained_quadratic(2))
+        nnbo = tiny_nnbo(toy_constrained_quadratic(2), engine="loop")
         rng = np.random.default_rng(0)
         a = nnbo.surrogate_factory(rng).members[0].network.get_flat_params()
         b = nnbo.surrogate_factory(rng).members[0].network.get_flat_params()
         assert not np.allclose(a, b)
 
     def test_ensemble_members_differ_within_one_surrogate(self):
-        nnbo = tiny_nnbo(toy_constrained_quadratic(2), n_ensemble=2)
+        nnbo = tiny_nnbo(toy_constrained_quadratic(2), n_ensemble=2, engine="loop")
         surrogate = nnbo.surrogate_factory(np.random.default_rng(0))
         a = surrogate.members[0].network.get_flat_params()
         b = surrogate.members[1].network.get_flat_params()
         assert not np.allclose(a, b)
 
     def test_trained_ensemble_fit_predict(self, rng):
-        nnbo = tiny_nnbo(toy_constrained_quadratic(2))
+        nnbo = tiny_nnbo(toy_constrained_quadratic(2), engine="loop")
         surrogate = nnbo.surrogate_factory(rng)
         x = rng.uniform(size=(10, 2))
         y = np.sum(x, axis=1)
@@ -82,12 +83,12 @@ class TestNNBO:
 class TestEngineSelection:
     def test_default_engine_is_batched(self):
         nnbo = tiny_nnbo(toy_constrained_quadratic(2))
-        assert nnbo.engine == "batched"
+        assert nnbo.surrogate_factory is None
         assert nnbo.surrogate_bank_factory is not None
 
     def test_thompson_auto_falls_back_to_loop(self):
         nnbo = tiny_nnbo(toy_constrained_quadratic(2), acquisition="thompson")
-        assert nnbo.engine == "loop"
+        assert nnbo.surrogate_factory is not None
         assert nnbo.surrogate_bank_factory is None
 
     def test_invalid_engine_rejected(self):

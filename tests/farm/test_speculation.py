@@ -23,7 +23,7 @@ def make_study(**kwargs):
 
 
 def drain_initial(study):
-    for trial in study.ask(study.optimizer.n_initial):
+    for trial in study.ask(study.n_initial):
         study.tell(trial, study.problem.evaluate(trial.x))
 
 
