@@ -734,6 +734,8 @@ class Study:
         The JSON goes to a sibling ``<name>.tmp`` that replaces ``path``
         only once complete: a crash mid-write leaves the previous
         checkpoint intact, and a failed write leaves no ``.tmp`` behind.
+        The file is compact, single-line JSON; indented files written by
+        earlier versions hold the same value and resume the same.
         """
         from repro.utils import serialization
 
@@ -764,7 +766,9 @@ class Study:
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
         try:
-            tmp.write_text(json.dumps(payload, indent=1))
+            # compact: any indent swaps json's C encoder for the pure-
+            # Python one, and the service checkpoints after every mutation
+            tmp.write_text(json.dumps(payload))
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -780,11 +784,19 @@ class Study:
         again, identical to the original construction; the budget and
         design parameters are restored from the checkpoint and must not be
         re-passed.  Pending trials stay pending — a driver re-submits them
-        (:meth:`pending_trials`) and the run continues.
+        (:meth:`pending_trials`) and the run continues.  A file that is
+        not valid JSON (a torn write) raises :class:`CheckpointMismatch`
+        naming the path and the decode error.
         """
         from repro.utils import serialization
 
-        payload = json.loads(Path(path).read_text())
+        try:
+            payload = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise CheckpointMismatch(
+                f"{path} is not a readable study checkpoint (torn or "
+                f"corrupted write?): {exc}"
+            ) from exc
         marker = payload.get("format")
         if marker != CHECKPOINT_FORMAT:
             raise CheckpointMismatch(

@@ -49,6 +49,14 @@ _STUDY_CODE_CLASSES = {
 }
 _SERVICE_CODE_CLASSES = {cls.code: cls for cls in SERVICE_ERROR_CLASSES}
 
+#: how a keep-alive connection the server has already dropped fails
+#: (RemoteDisconnected is a ConnectionResetError, named for the reader)
+_STALE_CONNECTION = (
+    http.client.RemoteDisconnected,
+    ConnectionResetError,
+    BrokenPipeError,
+)
+
 
 def raise_for_envelope(envelope: dict) -> None:
     """Re-raise a wire error envelope as its in-process exception type."""
@@ -105,19 +113,14 @@ class ServiceConnection:
             wire.setdefault("protocol_version", PROTOCOL_VERSION)
             body = json.dumps(wire).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        conn = self._connection()
         try:
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
-        except (http.client.HTTPException, OSError):
+            response, data = self._round_trip(method, path, body, headers)
+        except _STALE_CONNECTION:
             # stale keep-alive (server restarted, idle timeout): one
-            # fresh-connection retry, then let the failure surface
-            self.close()
-            conn = self._connection()
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
+            # fresh-connection retry, then let the failure surface.  A
+            # timeout is not stale: the server may still be working on
+            # the request, and a resent ask would propose twice
+            response, data = self._round_trip(method, path, body, headers)
         try:
             parsed = json.loads(data)
         except json.JSONDecodeError as exc:
@@ -133,6 +136,17 @@ class ServiceConnection:
                 "error envelope"
             )
         return parsed
+
+    def _round_trip(self, method, path, body, headers):
+        conn = self._connection()
+        try:
+            conn.request(method, path, body=body, headers=headers)
+            response = conn.getresponse()
+            return response, response.read()
+        except BaseException:
+            # a half-finished exchange leaves the connection unusable
+            self.close()
+            raise
 
     def close(self) -> None:
         conn = getattr(self._local, "conn", None)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.service import protocol
@@ -291,6 +292,9 @@ def _require(method: str, expected: str, path: str) -> None:
 def _make_handler(server: StudyServer):
     class _Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY on every accepted connection: a reply must not sit
+        # in Nagle's buffer behind an unacknowledged segment
+        disable_nagle_algorithm = True
         # identify the wire protocol, not the host machine's python
         server_version = f"repro-service/{PROTOCOL_VERSION}"
         sys_version = ""
@@ -337,12 +341,19 @@ def _make_handler(server: StudyServer):
             return payload
 
         def _send(self, status: int, body: dict) -> None:
+            # status line, headers and body leave in one write: written
+            # as two, the body waits on the client's delayed ACK
             data = json.dumps(body).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
+            head = (
+                f"{self.protocol_version} {status} "
+                f"{HTTPStatus(status).phrase}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {self.date_time_string()}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(data)}\r\n\r\n"
+            )
+            self.log_request(status)
+            self.wfile.write(head.encode("latin-1") + data)
 
         def do_GET(self):
             self._handle("GET")

@@ -695,6 +695,24 @@ class TestAtomicCheckpoint:
         assert resumed.n_evaluations == 5  # the state before the failed write
         assert [p.name for p in tmp_path.iterdir()] == ["study.json"]
 
+    def test_torn_checkpoint_is_named_checkpoint_mismatch(self, tmp_path):
+        """A half-written file names its path and the decode error."""
+        study = make_study()
+        for trial in study.start_initial():
+            study.tell(trial, study.problem.evaluate_unit(trial.u))
+        path = study.checkpoint(tmp_path / "study.json")
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+
+        with pytest.raises(CheckpointMismatch) as err:
+            Study.resume(
+                path, toy_constrained_quadratic(2), surrogate_factory=gp_factory
+            )
+        message = str(err.value)
+        assert str(path) in message
+        assert "column" in message  # the JSONDecodeError's position
+        assert isinstance(err.value.__cause__, json.JSONDecodeError)
+
 
 class TestDescribe:
     def test_describe_is_json_round_trippable(self):

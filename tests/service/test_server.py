@@ -6,15 +6,27 @@ The headline contract: a driver loop written against
 trace — same proposals, same objectives, same error types.
 """
 
+import contextlib
+import http.client
 import json
+import socket
+import statistics
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
 from repro.benchfns import toy_constrained_quadratic
 from repro.bo.config import SurrogateConfig
-from repro.bo.study import BudgetExhausted, Study, StudyError, UnknownTrial
+from repro.bo.study import (
+    BudgetExhausted,
+    CheckpointMismatch,
+    Study,
+    StudyError,
+    UnknownTrial,
+)
 from repro.service import (
     ProtocolMismatch,
     ServiceError,
@@ -274,6 +286,29 @@ class TestServerLifecycle:
                     reference.result.objectives, got.objectives
                 )
 
+    def test_torn_study_file_answers_checkpoint_mismatch(self, tmp_path):
+        root = tmp_path / "store"
+        with StudyServer(root, port=0) as first:
+            client = create_toy(first.address, "torn", seed=3)
+            client.ask(2)
+        path = root / "torn.study.json"
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+
+        with StudyServer(root, port=0) as second:
+            conn = http.client.HTTPConnection(*second.address, timeout=30)
+            try:
+                conn.request("GET", "/v1/studies/torn")
+                response = conn.getresponse()
+                body = json.loads(response.read())
+            finally:
+                conn.close()
+            assert response.status == 409
+            assert body["error"]["code"] == "checkpoint-mismatch"
+            assert str(path) in body["error"]["message"]
+            with pytest.raises(CheckpointMismatch, match="torn.study.json"):
+                StudyClient.connect(second.address, "torn")
+
     def test_lease_expiry_through_reaper_thread(self, tmp_path):
         # short lease + fast reaper: the trial is auto-retracted without
         # any client call, and the study still reaches full budget
@@ -372,3 +407,116 @@ class TestHammer:
                 for record in records
             ]
             assert committed == tell_order[: len(committed)]
+
+
+class TestWire:
+    def test_accepted_socket_sets_tcp_nodelay(self, server):
+        httpd = server._httpd
+        accepted = []
+        get_request = httpd.get_request
+
+        def recording_get_request():
+            sock, addr = get_request()
+            accepted.append(sock)
+            return sock, addr
+
+        httpd.get_request = recording_get_request
+        conn = http.client.HTTPConnection(*server.address, timeout=30)
+        try:
+            conn.request("GET", "/v1/health")
+            assert conn.getresponse().read()
+            (sock,) = accepted
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            conn.close()
+
+    def test_keep_alive_round_trip_has_no_delayed_ack_stall(self, server):
+        # a response written as two segments with Nagle on waits for the
+        # client's delayed ACK: a 40 ms floor on Linux per round trip
+        conn = http.client.HTTPConnection(*server.address, timeout=30)
+        try:
+            elapsed = []
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("GET", "/v1/health")
+                response = conn.getresponse()
+                assert json.loads(response.read())["status"] == "ok"
+                elapsed.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        assert statistics.median(elapsed) < 0.010, elapsed
+
+
+class _CountingHandler(BaseHTTPRequestHandler):
+    """A stub server: counts requests, optionally stalls or hangs up."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format, *args):
+        pass
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        with self.server.lock:
+            self.server.requests += 1
+        self.server.release.wait(self.server.stall_s)
+        data = json.dumps({"protocol_version": PROTOCOL_VERSION}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        # hang up without a Connection: close header, as a server that
+        # goes away between two calls does: the client keeps the socket
+        self.close_connection = True
+
+
+@contextlib.contextmanager
+def counting_server(port=0, *, stall_s=0.0):
+    httpd = ThreadingHTTPServer(("127.0.0.1", port), _CountingHandler)
+    httpd.daemon_threads = True
+    httpd.lock = threading.Lock()
+    httpd.requests = 0
+    httpd.stall_s = stall_s
+    httpd.release = threading.Event()
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield httpd
+    finally:
+        httpd.release.set()
+        httpd.shutdown()
+        thread.join(timeout=10)
+        httpd.server_close()
+
+
+class TestClientRetry:
+    def test_timed_out_request_is_not_resent(self):
+        with counting_server(stall_s=2.0) as stub:
+            conn = ServiceConnection(stub.server_address, timeout=0.2)
+            try:
+                with pytest.raises(TimeoutError):
+                    conn.request("POST", "/v1/studies/s/ask", {"n": 1})
+                # a resend would have arrived while the first one stalled
+                assert stub.requests == 1
+                # the timed-out exchange must not poison the next call
+                stub.stall_s = 0.0
+                conn.request("POST", "/v1/studies/s/ask", {"n": 1})
+                assert stub.requests == 2
+            finally:
+                conn.close()
+
+    def test_server_restarted_between_calls_gets_one_retry(self):
+        with counting_server() as first:
+            address = first.server_address
+            conn = ServiceConnection(address, timeout=30)
+            conn.request("POST", "/v1/studies/s/ask", {"n": 1})
+            assert first.requests == 1
+        try:
+            # same port, new process: the client's keep-alive socket is
+            # stale and the next call must reconnect once, not fail
+            with counting_server(address[1]) as second:
+                conn.request("POST", "/v1/studies/s/ask", {"n": 1})
+                assert second.requests == 1
+            assert first.requests == 1
+        finally:
+            conn.close()
