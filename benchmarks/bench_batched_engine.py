@@ -17,15 +17,13 @@ workload (K=5, 6 targets, M=50 features, d=36 design variables — the
   proposal cycle returns the same design point;
 * **speedup** — the batched proposal cycle (surrogate fit + acquisition
   maximization) is >= 3x faster than the loop path;
-* **threaded Cholesky** — the numpy backend's per-slice posterior
-  factorization stage (``linalg_threads``, the async fantasy-only
-  landing hot path) is >= 1.5x faster threaded than serial at S >= 64
-  slices (asserted only on multi-core hosts; single-core runs record the
-  number without enforcing the floor);
-* **backend axis** — per-backend timings land in
-  ``BENCH_batched_engine.json`` under stable keys (each record carries
-  its ``backend`` name); the torch measurement skips cleanly when torch
-  is not installed.
+* **threaded Cholesky** — the per-slice posterior factorization stage
+  (``linalg_threads``, the async fantasy-only landing hot path) is
+  >= 1.5x faster threaded than serial at S >= 64 slices (asserted only
+  on multi-core hosts; single-core runs record the number without
+  enforcing the floor).
+
+Timings land in ``BENCH_batched_engine.json`` under stable keys.
 
 The simulator is replaced by cheap analytic functions of the same
 dimensionality so the bench isolates surrogate-engine time; training
@@ -41,9 +39,8 @@ import os
 import time
 
 import numpy as np
-import pytest
 
-from repro.backend import available_backends, get_namespace
+from repro.backend import numpy_backend
 from repro.bo.config import SurrogateConfig
 from repro.bo.problem import FunctionProblem
 from repro.core import (
@@ -53,6 +50,7 @@ from repro.core import (
     BatchedFeatureGPTrainer,
     serial_reference_bank,
 )
+from repro.gp.linalg import batched_jitter_cholesky
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -77,9 +75,9 @@ THREADED_FLOOR = 1.5
 def _record(key: str, payload: dict) -> None:
     """Merge one result record into ``BENCH_batched_engine.json``.
 
-    Records live under stable keys in a ``results`` mapping and each
-    carries its ``backend`` name, so downstream tooling can track every
-    (stage, backend) pair across commits without positional guessing.
+    Records live under stable keys in a ``results`` mapping, so
+    downstream tooling can track every stage across commits without
+    positional guessing.
     """
     path = os.environ.get("REPRO_BENCH_JSON", "BENCH_batched_engine.json")
     data: dict = {"bench": "batched_engine", "results": {}}
@@ -230,7 +228,7 @@ class TestProposeCycleSpeedup:
 
 
 def _make_threaded_bank(linalg_threads):
-    """A fitted S = 66 bank on the selected numpy namespace."""
+    """A fitted S = 66 bank whose per-slice loops use ``linalg_threads``."""
     rng = np.random.default_rng(3)
     x = rng.uniform(size=(N_DATA, DIM))
     targets = np.stack(
@@ -243,7 +241,7 @@ def _make_threaded_bank(linalg_threads):
         n_features=THREADED_FEATURES,
         trainer_factory=lambda: BatchedFeatureGPTrainer(epochs=5),
         seed=np.random.default_rng(21),
-        backend=get_namespace("numpy", linalg_threads=linalg_threads),
+        linalg_threads=linalg_threads,
     )
     bank.fit(x, targets)
     return bank
@@ -260,14 +258,14 @@ def _time_posterior_linalg(bank, reps: int) -> float:
     gp = bank.gp
     x_data, z_data = gp._posterior_data()
     feats = gp.features(x_data)
-    feats_t = gp.xb.swapaxes(feats, -1, -2)
+    feats_t = np.swapaxes(feats, -1, -2)
     a_mat = feats_t @ feats + gp.beta[:, None, None] * np.eye(feats.shape[2])
     u = (feats_t @ z_data[..., None])[..., 0]
     best = float("inf")
     for _ in range(reps):
         start = time.perf_counter()
-        chol = gp.xb.batched_cholesky(a_mat)
-        gp.xb.batched_solve_r_and_inverse(chol, u)
+        chol = batched_jitter_cholesky(a_mat, threads=gp.linalg_threads)
+        numpy_backend.batched_solve_r_and_inverse(chol, u, gp.linalg_threads)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -332,70 +330,3 @@ class TestThreadedCholesky:
                 f"threaded Cholesky speedup {speedup:.2f}x below the "
                 f"{THREADED_FLOOR}x floor after retry ({cores} cores)"
             )
-
-
-class TestAcceleratorBackends:
-    """Per-backend timings of the posterior-update stage (skip-if-absent)."""
-
-    @pytest.mark.parametrize("backend_name", ["torch", "cupy"])
-    def test_accelerator_posterior_update(self, backend_name):
-        if backend_name not in available_backends():
-            _record(
-                f"posterior_update_{backend_name}",
-                {"backend": backend_name, "skipped": "package not installed"},
-            )
-            pytest.skip(f"{backend_name} not installed")
-        rng = np.random.default_rng(3)
-        x = rng.uniform(size=(N_DATA, DIM))
-        targets = np.stack(
-            [np.sin((t + 1.0) * x[:, t % DIM]) + x[:, (t + 3) % DIM] for t in range(N_TARGETS)]
-        )
-
-        def build(name):
-            bank = SurrogateBank(
-                DIM,
-                n_targets=N_TARGETS,
-                n_members=N_MEMBERS,
-                n_features=N_FEATURES,
-                trainer_factory=lambda: BatchedFeatureGPTrainer(epochs=5),
-                seed=np.random.default_rng(21),
-                backend=get_namespace(name),
-            )
-            bank.fit(x, targets)
-            return bank
-
-        reference = build("numpy")
-        accelerated = build(backend_name)
-
-        # posterior-equivalence gate: accelerator within 1e-5 of numpy
-        xq = np.random.default_rng(9).uniform(size=(32, DIM))
-        for t in range(N_TARGETS):
-            m_ref, v_ref = reference.predict_target(t, xq)
-            m_acc, v_acc = accelerated.predict_target(t, xq)
-            np.testing.assert_allclose(m_acc, m_ref, rtol=1e-5, atol=1e-5)
-            np.testing.assert_allclose(v_acc, v_ref, rtol=1e-5, atol=1e-5)
-
-        def time_updates(bank):
-            best = float("inf")
-            for _ in range(THREADED_REPS):
-                start = time.perf_counter()
-                bank.gp.update_posterior()
-                best = min(best, time.perf_counter() - start)
-            return best
-
-        t_numpy = time_updates(reference)
-        t_acc = time_updates(accelerated)
-        print(
-            f"\n[batched-engine] posterior update ({backend_name}): "
-            f"numpy {t_numpy * 1e3:.2f} ms, {backend_name} {t_acc * 1e3:.2f} ms"
-        )
-        _record(
-            f"posterior_update_{backend_name}",
-            {
-                "backend": backend_name,
-                "wall_clock_numpy_s": round(t_numpy, 6),
-                f"wall_clock_{backend_name}_s": round(t_acc, 6),
-                "relative_to_numpy": round(t_numpy / t_acc, 3),
-                "equivalence_gate": "1e-5",
-            },
-        )

@@ -32,9 +32,11 @@ Three ways in, from highest- to lowest-level:
   :class:`SpeculationConfig` on :class:`SchedulerConfig`).
 * **Building blocks** — the testbench problems of the paper's two
   evaluation circuits, the executor factory, the deterministic replay
-  clock, run (de)serialization, and the array-backend selectors
-  (:func:`get_namespace` / :func:`available_backends`) behind
-  ``SurrogateConfig(backend=...)``.
+  clock and run (de)serialization.  The surrogate engine computes with
+  numpy only: :func:`available_backends` returns ``("numpy",)``, and
+  :func:`get_namespace` is deprecated (it validates its arguments and
+  returns :mod:`numpy`; configure ``SurrogateConfig(backend=...,
+  device=..., linalg_threads=...)`` instead).
 * **Simulator backends** — the pluggable engine layer of
   :mod:`repro.sim`: :class:`SimulatorBackend` implementations
   (:class:`MNABackend`, :class:`NgspiceBackend`) selected by the

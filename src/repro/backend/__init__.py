@@ -1,46 +1,40 @@
-"""Pluggable array backends for the stacked surrogate engine.
+"""The array-backend names the surrogate configuration accepts.
 
-The engine (``repro.nn.batched``, ``repro.core.batched_gp``,
-``repro.core.trainer``) codes against a small array-namespace contract
-(:mod:`repro.backend.base`) instead of numpy directly, so the identical
-stacked tensor program runs on:
+The stacked surrogate engine (``repro.nn.batched``,
+``repro.core.batched_gp``, ``repro.core.trainer``) computes with numpy
+and scipy's LAPACK directly: there is one numeric path.  The
+``backend``/``device`` fields of :class:`~repro.bo.config.SurrogateConfig`
+stay, because every stored config carries them:
 
-* ``"numpy"`` — the default and reference path, bitwise identical to the
-  pre-backend engine (its namespace ops *are* the numpy functions), with
-  an optional ``linalg_threads`` knob that spreads the per-slice LAPACK
-  loops over a thread pool;
-* ``"torch"`` — PyTorch tensors on CPU or CUDA (soft dependency);
-* ``"cupy"`` — CuPy arrays on CUDA (soft dependency);
-* ``"auto"`` — the first importable accelerator backend (torch, then
-  cupy), falling back to numpy.
+* ``"numpy"`` (the default) and ``"auto"`` select that path;
+* ``"torch"`` and ``"cupy"``, the accelerator backends of earlier
+  versions, raise :class:`BackendNotAvailable`;
+* ``device`` may be ``None`` or ``"cpu"``.
 
-Use :func:`get_namespace` to obtain a namespace and pass it (or just the
-name) to :class:`~repro.core.batched_gp.SurrogateBank` /
-:class:`~repro.bo.config.SurrogateConfig` via their ``backend`` argument.
+The engine's one CPU knob is ``linalg_threads``, a plain constructor
+argument of :class:`~repro.core.batched_gp.SurrogateBank` that spreads the
+per-slice LAPACK loops over a thread pool.
 """
 
 from __future__ import annotations
 
-from importlib import util as _importlib_util
+import warnings
 
-from repro.backend.base import ArrayNamespace
+import numpy as np
 
-BACKEND_NAMES = ("numpy", "torch", "cupy")
+BACKEND_NAMES = ("numpy",)
 
-#: pip package that provides each soft-dependency backend
-_BACKEND_PACKAGES = {"torch": "torch", "cupy": "cupy"}
-
-#: preference order used by ``backend="auto"``
-_AUTO_ORDER = ("torch", "cupy", "numpy")
+#: accelerator backends of earlier versions, each named after its package
+_REMOVED_BACKENDS = ("torch", "cupy")
 
 
 class BackendNotAvailable(ImportError):
-    """A requested array backend's package is not installed.
+    """A requested array backend is not available.
 
-    Carries ``backend`` (the requested name) and ``package`` (the pip
-    distribution that provides it); the message names both so the fix is
-    obvious from the traceback alone.  ``code`` is the stable wire error
-    code the BO service maps this exception to.
+    Carries ``backend`` (the requested name) and ``package`` (the
+    distribution it ran on); the message names the backend and the numpy
+    fallback.  ``code`` is the stable wire error code the BO service maps
+    this exception to.
     """
 
     #: stable error code (wire-safe kebab-case identifier)
@@ -50,113 +44,67 @@ class BackendNotAvailable(ImportError):
         self.backend = str(backend)
         self.package = str(package)
         super().__init__(
-            f"array backend {self.backend!r} requires the {self.package!r} "
-            f"package, which is not installed; install it "
-            f"(e.g. `pip install {self.package}`) or select backend='numpy'"
+            f"array backend {self.backend!r} is not available: the surrogate "
+            "engine computes with numpy only; select backend='numpy'"
         )
 
 
-def _package_importable(name: str) -> bool:
-    try:
-        return _importlib_util.find_spec(name) is not None
-    except (ImportError, ValueError):
-        return False
+def check_backend(name: str | None = "numpy", device: str | None = None) -> str:
+    """Validate a ``backend``/``device`` pair; returns ``"numpy"``.
+
+    ``None``, ``"numpy"`` and ``"auto"`` all select numpy.  The removed
+    accelerator names raise :class:`BackendNotAvailable`, any other name
+    and a ``device`` other than ``None``/``"cpu"`` raise ``ValueError``.
+    """
+    name = "numpy" if name is None else str(name).lower()
+    if name in _REMOVED_BACKENDS:
+        raise BackendNotAvailable(name, name)
+    if name not in ("auto", "numpy"):
+        raise ValueError(
+            f"unknown array backend {name!r}; choose from {('auto',) + BACKEND_NAMES}"
+        )
+    if device not in (None, "cpu"):
+        raise ValueError(
+            f"the numpy backend runs on the host CPU only, got device={device!r}"
+        )
+    return "numpy"
 
 
 def available_backends() -> tuple[str, ...]:
-    """Backend names usable right now (numpy always; others if importable)."""
-    names = ["numpy"]
-    for name, package in _BACKEND_PACKAGES.items():
-        if _package_importable(package):
-            names.append(name)
-    return tuple(names)
+    """Backend names usable right now: always ``("numpy",)``."""
+    return BACKEND_NAMES
 
 
 def get_namespace(
     name: str | None = "numpy",
     device: str | None = None,
     linalg_threads: int | None = None,
-) -> ArrayNamespace:
-    """Construct the array namespace for ``name``.
+):
+    """Deprecated: validate a backend selection and return :mod:`numpy`.
 
-    ``name`` is one of ``"numpy"`` (default; ``None`` means numpy),
-    ``"torch"``, ``"cupy"``, or ``"auto"`` (first importable of torch,
-    cupy, numpy).  ``device`` selects the accelerator device (e.g.
-    ``"cuda:0"``; numpy accepts only ``"cpu"``); ``linalg_threads``
-    threads the numpy path's per-slice LAPACK loops.
-
-    Raises :class:`BackendNotAvailable` when an explicitly requested
-    soft-dependency backend is not importable — ``"auto"`` never raises,
-    it falls back to numpy.
+    The engine no longer routes array calls through a namespace object.
+    Select the backend with ``SurrogateConfig(backend=..., device=...)``
+    and thread the per-slice LAPACK loops with
+    ``SurrogateConfig(linalg_threads=...)``.  The arguments are validated
+    as before (see :func:`check_backend`; ``linalg_threads`` must be
+    ``>= 1``).
     """
-    if name is None:
-        name = "numpy"
-    name = str(name).lower()
-    if name == "auto":
-        for candidate in _AUTO_ORDER:
-            if candidate == "numpy" or _package_importable(
-                _BACKEND_PACKAGES[candidate]
-            ):
-                return get_namespace(candidate, device, linalg_threads)
-    if name == "numpy":
-        from repro.backend.numpy_backend import NumpyNamespace
-
-        return NumpyNamespace(device=device, linalg_threads=linalg_threads)
-    if name == "torch":
-        try:
-            from repro.backend.torch_backend import TorchNamespace
-        except ImportError as exc:
-            raise BackendNotAvailable("torch", _BACKEND_PACKAGES["torch"]) from exc
-        return TorchNamespace(device=device, linalg_threads=linalg_threads)
-    if name == "cupy":
-        try:
-            from repro.backend.cupy_backend import CupyNamespace
-        except ImportError as exc:
-            raise BackendNotAvailable("cupy", _BACKEND_PACKAGES["cupy"]) from exc
-        return CupyNamespace(device=device, linalg_threads=linalg_threads)
-    raise ValueError(
-        f"unknown array backend {name!r}; choose from "
-        f"{('auto',) + BACKEND_NAMES}"
+    warnings.warn(
+        "get_namespace is deprecated: the surrogate engine computes with "
+        "numpy directly; set backend/device/linalg_threads on SurrogateConfig",
+        DeprecationWarning,
+        stacklevel=2,
     )
-
-
-_DEFAULT_NAMESPACE: ArrayNamespace | None = None
-
-
-def default_namespace() -> ArrayNamespace:
-    """The shared default (plain numpy, serial) namespace singleton."""
-    global _DEFAULT_NAMESPACE
-    if _DEFAULT_NAMESPACE is None:
-        _DEFAULT_NAMESPACE = get_namespace("numpy")
-    return _DEFAULT_NAMESPACE
-
-
-def resolve_namespace(backend) -> ArrayNamespace:
-    """Normalize a ``backend`` argument into a namespace object.
-
-    Accepts ``None`` (the default numpy singleton), a backend name
-    string, or an already-constructed :class:`ArrayNamespace` (passed
-    through unchanged, so callers can share one configured namespace
-    across models).
-    """
-    if backend is None:
-        return default_namespace()
-    if isinstance(backend, str):
-        return get_namespace(backend)
-    if isinstance(backend, ArrayNamespace):
-        return backend
-    raise TypeError(
-        f"backend must be None, a backend name, or an ArrayNamespace, "
-        f"got {type(backend).__name__}"
-    )
+    check_backend(name, device)
+    if linalg_threads is not None and int(linalg_threads) < 1:
+        raise ValueError(f"linalg_threads must be >= 1, got {linalg_threads}")
+    return np
 
 
 __all__ = [
-    "ArrayNamespace",
     "BACKEND_NAMES",
     "BackendNotAvailable",
     "available_backends",
-    "default_namespace",
+    "check_backend",
     "get_namespace",
-    "resolve_namespace",
 ]

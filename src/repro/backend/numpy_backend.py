@@ -1,127 +1,34 @@
-"""The default (and reference) backend: plain numpy on the host CPU.
+"""Per-slice posterior solves of the stacked engine on the host CPU.
 
-Every portable op below is the *literal numpy function* — ``xb.stack is
-np.stack`` — so code routed through this namespace executes the identical
-call sequence the pre-backend engine made, which is how the numpy path
-keeps its bitwise-equivalence guarantee by construction rather than by
-testing alone.
-
-The one capability numpy gains over the raw functions is ``linalg_threads``:
-the per-slice LAPACK loops (Cholesky factorizations and posterior solves
-over the ``(S, M, M)`` stack) run across a thread pool when the knob is
-set.  Slices are independent, each executes the exact serial kernel, and
-LAPACK releases the GIL — so threading changes wall-clock only, never a
-bit of the results.
+:meth:`~repro.core.batched_gp.BatchedNeuralFeatureGP.update_posterior`
+factorizes one ``(S, M, M)`` stack of A-matrices and then needs, per
+slice, both ``r = A^{-1} u`` and ``A^{-1}`` itself.  Slices are
+independent and each runs the exact serial LAPACK kernel, so fanning the
+loop over ``threads`` workers (LAPACK releases the GIL) changes
+wall-clock only, never a bit of the results.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack as _lapack
 
-from repro.backend.base import ArrayNamespace
-from repro.gp.linalg import (
-    batched_jitter_cholesky,
-    map_slices as _map_slices,
-    solve_r_and_inverse,
-)
+from repro.gp.linalg import map_slices, solve_r_and_inverse
 
 
-class NumpyNamespace(ArrayNamespace):
-    """Host-CPU numpy namespace; see module docstring."""
+def batched_solve_r_and_inverse(
+    chol: np.ndarray, u: np.ndarray, threads: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slice ``(A^{-1} u, A^{-1})`` sharing one ``dpotrs`` each.
 
-    name = "numpy"
-    is_numpy = True
-    device = "cpu"
+    ``chol`` is the ``(S, M, M)`` stack of lower factors and ``u`` the
+    ``(S, M)`` right-hand sides.
+    """
+    s_stack, m = u.shape
+    r = np.empty((s_stack, m))
+    a_inv = np.empty_like(chol)
 
-    # -- portable ops: literal numpy functions ---------------------------------
+    def solve(s: int) -> None:
+        r[s], a_inv[s] = solve_r_and_inverse(chol[s], u[s])
 
-    asarray = staticmethod(np.asarray)
-    zeros = staticmethod(np.zeros)
-    ones = staticmethod(np.ones)
-    full = staticmethod(np.full)
-    eye = staticmethod(np.eye)
-    empty = staticmethod(np.empty)
-    zeros_like = staticmethod(np.zeros_like)
-    empty_like = staticmethod(np.empty_like)
-    stack = staticmethod(np.stack)
-    concatenate = staticmethod(np.concatenate)
-    vstack = staticmethod(np.vstack)
-    swapaxes = staticmethod(np.swapaxes)
-    where = staticmethod(np.where)
-    clip = staticmethod(np.clip)
-    exp = staticmethod(np.exp)
-    log = staticmethod(np.log)
-    sqrt = staticmethod(np.sqrt)
-    tanh = staticmethod(np.tanh)
-    logaddexp = staticmethod(np.logaddexp)
-    maximum = staticmethod(np.maximum)
-    isfinite = staticmethod(np.isfinite)
-    sum = staticmethod(np.sum)
-
-    def __init__(self, device: str | None = None, linalg_threads: int | None = None):
-        if device not in (None, "cpu"):
-            raise ValueError(
-                f"the numpy backend runs on the host CPU only, got device={device!r}"
-            )
-        if linalg_threads is not None and int(linalg_threads) < 1:
-            raise ValueError(f"linalg_threads must be >= 1, got {linalg_threads}")
-        self.linalg_threads = None if linalg_threads is None else int(linalg_threads)
-
-    # -- array helpers ----------------------------------------------------------
-
-    @staticmethod
-    def diagonal(x: np.ndarray) -> np.ndarray:
-        return np.diagonal(x, axis1=-2, axis2=-1)
-
-    @staticmethod
-    def copy(x: np.ndarray) -> np.ndarray:
-        return x.copy()
-
-    # -- transfer: everything already lives on the host -------------------------
-
-    def to_device(self, array):
-        return array
-
-    def from_device(self, array) -> np.ndarray:
-        return array
-
-    def as_index(self, idx):
-        return idx
-
-    # -- slice loops / linalg ----------------------------------------------------
-
-    def map_slices(self, fn, count: int) -> None:
-        _map_slices(fn, count, self.linalg_threads)
-
-    def batched_cholesky(self, mats: np.ndarray) -> np.ndarray:
-        """Per-slice LAPACK ``dpotrf`` with jitter fallback, optionally threaded."""
-        return batched_jitter_cholesky(mats, threads=self.linalg_threads)
-
-    def batched_cholesky_solve(self, chol: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Per-slice ``A^{-1} u`` from the stacked lower factors."""
-        out = np.empty_like(u)
-
-        def solve(s: int) -> None:
-            out[s] = _lapack.dpotrs(chol[s], u[s], lower=1)[0]
-
-        self.map_slices(solve, chol.shape[0])
-        return out
-
-    def batched_solve_r_and_inverse(
-        self, chol: np.ndarray, u: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-slice ``(A^{-1} u, A^{-1})`` sharing one ``dpotrs`` each."""
-        s_stack, m = u.shape
-        r = np.empty((s_stack, m))
-        a_inv = np.empty_like(chol)
-
-        def solve(s: int) -> None:
-            r[s], a_inv[s] = solve_r_and_inverse(chol[s], u[s])
-
-        self.map_slices(solve, s_stack)
-        return r, a_inv
-
-    def solve_lower_transposed(self, chol_2d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Single-slice ``L^T x = rhs`` (posterior weight sampling)."""
-        return _lapack.dtrtrs(chol_2d, rhs, lower=1, trans=1)[0]
+    map_slices(solve, s_stack, threads)
+    return r, a_inv

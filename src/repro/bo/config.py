@@ -7,7 +7,8 @@ This module replaces that pile with three small dataclasses, grouped the
 way the knobs actually interact:
 
 * :class:`SurrogateConfig` — the paper's NN-feature-GP ensemble
-  hyper-parameters (Sec. III) and the training-engine choice,
+  hyper-parameters (Sec. III), the training-engine choice and the
+  batched engine's thread count,
 * :class:`AcquisitionConfig` — how the next design is chosen (acquisition
   family, log-space evaluation, duplicate handling) and how concurrent
   proposals shape each other (fantasy lies, local penalization,
@@ -36,6 +37,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from repro.acquisition.fantasy import FANTASY_STRATEGIES
 from repro.acquisition.penalization import validate_pending_strategy
 from repro.acquisition.spaces import PROPOSAL_SPACES, TrustRegionConfig
+from repro.backend import check_backend
 
 #: surrogate update policies of the asynchronous (refill-on-completion) loop
 ASYNC_REFIT_POLICIES = ("full", "fantasy-only")
@@ -51,9 +53,6 @@ KAPPA_SCHEDULES = ("beta-t",)
 
 #: training engines for the NN-feature-GP ensembles
 SURROGATE_ENGINES = ("auto", "batched", "loop")
-
-#: array backends for the batched engine (see :mod:`repro.backend`)
-SURROGATE_BACKENDS = ("auto", "numpy", "torch", "cupy")
 
 ACQUISITIONS = ("wei", "thompson")
 
@@ -90,14 +89,15 @@ class SurrogateConfig:
     except for single-point Thompson (which keeps the loop path so
     historical seeded runs are preserved).
 
-    ``backend`` selects the batched engine's array backend
-    (:mod:`repro.backend`): ``"numpy"`` (default, bitwise-reference path),
-    ``"torch"`` / ``"cupy"`` (soft dependencies), or ``"auto"`` (first
-    importable accelerator, falling back to numpy).  ``device`` names the
-    accelerator device (e.g. ``"cuda:0"``); ``linalg_threads`` spreads
-    the numpy path's per-slice Cholesky/solve loops over a thread pool
-    (LAPACK releases the GIL), serial when ``None``.  The loop engine
-    ignores all three.
+    The batched engine computes with numpy.  ``backend`` accepts
+    ``"numpy"`` (the default) and ``"auto"``, which mean the same; the
+    removed accelerator backends ``"torch"``/``"cupy"`` raise
+    :class:`~repro.backend.BackendNotAvailable`, and a ``device`` other
+    than ``None``/``"cpu"`` raises ``ValueError``.  Both fields stay
+    because every stored config carries them.  ``linalg_threads``
+    spreads the per-slice Cholesky/solve loops over a thread pool
+    (LAPACK releases the GIL), serial when ``None``; results do not
+    depend on it.  The loop engine ignores it.
     """
 
     n_ensemble: int = 5
@@ -123,13 +123,10 @@ class SurrogateConfig:
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         check_choice("engine", self.engine, SURROGATE_ENGINES)
-        object.__setattr__(
-            self,
-            "backend",
-            check_choice("backend", str(self.backend).lower(), SURROGATE_BACKENDS),
-        )
+        object.__setattr__(self, "backend", str(self.backend).lower())
         if self.device is not None:
             object.__setattr__(self, "device", str(self.device))
+        check_backend(self.backend, self.device)
         if self.linalg_threads is not None:
             object.__setattr__(
                 self,
@@ -145,18 +142,6 @@ class SurrogateConfig:
         # before the bank grew posterior sampling are preserved; q-point
         # Thompson wants the stacked predict path
         return "loop" if (acquisition == "thompson" and q == 1) else "batched"
-
-    def resolve_backend(self):
-        """The configured :class:`~repro.backend.base.ArrayNamespace`.
-
-        Raises :class:`~repro.backend.BackendNotAvailable` when an
-        explicitly requested soft-dependency backend is not installed.
-        """
-        from repro.backend import get_namespace
-
-        return get_namespace(
-            self.backend, device=self.device, linalg_threads=self.linalg_threads
-        )
 
     # -- factory builders -----------------------------------------------------
     # The core model classes import repro.bo (the driver layer), so these
@@ -205,8 +190,6 @@ class SurrogateConfig:
         """``(rng, n_targets) -> SurrogateBank`` for the batched engine."""
         from repro.core.batched_gp import SurrogateBank
 
-        xb = self.resolve_backend()
-
         def make_bank(rng, n_targets):
             return SurrogateBank(
                 input_dim=input_dim,
@@ -218,7 +201,7 @@ class SurrogateConfig:
                 output_activation=self.output_activation,
                 trainer_factory=self.batched_trainer_factory,
                 seed=rng,
-                backend=xb,
+                linalg_threads=self.linalg_threads,
             )
 
         return make_bank
@@ -611,7 +594,6 @@ __all__ = [
     "FarmConfig",
     "KAPPA_SCHEDULES",
     "PROPOSAL_SPACES",
-    "SURROGATE_BACKENDS",
     "SURROGATE_ENGINES",
     "SchedulerConfig",
     "SpeculationConfig",

@@ -43,7 +43,6 @@ uninterrupted run.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -731,11 +730,12 @@ class Study:
         surrogates carry no warm state; their between-ask resumes refit
         and are deterministic but not bitwise.
 
-        The JSON goes to a sibling ``<name>.tmp`` that replaces ``path``
-        only once complete: a crash mid-write leaves the previous
-        checkpoint intact, and a failed write leaves no ``.tmp`` behind.
-        The file is compact, single-line JSON; indented files written by
-        earlier versions hold the same value and resume the same.
+        The write goes through
+        :func:`~repro.utils.serialization.write_json_atomic`: a crash
+        mid-write leaves the previous checkpoint intact, and a failed
+        write leaves no ``.tmp`` behind.  The file is compact, single-line
+        JSON; indented files written by earlier versions hold the same
+        value and resume the same.
         """
         from repro.utils import serialization
 
@@ -763,17 +763,7 @@ class Study:
             "pending": [_trial_to_dict(t) for t in self._pending.values()],
             **self._proposer.state_to_dict(),
         }
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            # compact: any indent swaps json's C encoder for the pure-
-            # Python one, and the service checkpoints after every mutation
-            tmp.write_text(json.dumps(payload))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        return path
+        return serialization.write_json_atomic(path, payload)
 
     @classmethod
     def resume(cls, path, problem: Problem, **study_kwargs) -> "Study":

@@ -15,6 +15,11 @@ module instead trains all S models simultaneously over stacked tensors:
   slice via ``repro.gp.linalg.lapack_jitter_cholesky``,
 * GP scale hyper-parameters and per-slice losses: ``(S,)``.
 
+Every tensor is a numpy array and every per-slice factorization or solve
+a direct LAPACK call.  The per-slice loops are independent, so
+``linalg_threads`` may fan them over a thread pool; each slice still runs
+the exact serial kernel, so results never depend on the thread count.
+
 Slice ``s = t * K + k`` is member ``k`` of target ``t``.  Every stacked
 operation applies the identical kernel the serial path uses slice by
 slice, so the engine is *numerically equivalent* to the member-by-member
@@ -38,21 +43,19 @@ import numpy as np
 
 from scipy.linalg import lapack as _lapack
 
-from repro.backend import resolve_namespace
+from repro.backend import numpy_backend
 from repro.core.feature_gp import NeuralFeatureGP
 from repro.gp.linalg import (
+    batched_jitter_cholesky,
     lapack_jitter_cholesky,
     log_det_from_cholesky,
+    map_slices,
     solve_r_and_inverse,
 )
 from repro.nn.batched import BatchedSequential, make_batched_mlp
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.scaling import StandardScaler
 from repro.utils.validation import check_finite, check_matrix_2d
-
-# historical home of the fused [u | I] posterior solve; it moved to
-# repro.gp.linalg when the backend layer landed
-_solve_r_and_inverse = solve_r_and_inverse
 
 
 def _resolve_rngs(seed, count: int) -> list[np.random.Generator]:
@@ -80,8 +83,8 @@ class BatchedNeuralFeatureGP:
 
     Parameters mirror :class:`NeuralFeatureGP`; ``seed`` may additionally
     be a sequence of ``n_stack`` generators for explicit slice streams.
-    ``backend`` selects the array namespace all stacked tensors live in
-    (:mod:`repro.backend`); ``None`` is the reference numpy path.
+    ``linalg_threads`` spreads the per-slice Cholesky/solve loops over a
+    thread pool (serial when ``None``); results do not depend on it.
     """
 
     def __init__(
@@ -97,13 +100,15 @@ class BatchedNeuralFeatureGP:
         prior_variance: float = 1.0,
         normalize_y: bool = True,
         seed=None,
-        backend=None,
+        linalg_threads: int | None = None,
     ):
         if n_stack < 1:
             raise ValueError(f"n_stack must be >= 1, got {n_stack}")
         if noise_variance <= 0 or prior_variance <= 0:
             raise ValueError("noise_variance and prior_variance must be positive")
-        self.xb = resolve_namespace(backend)
+        if linalg_threads is not None and int(linalg_threads) < 1:
+            raise ValueError(f"linalg_threads must be >= 1, got {linalg_threads}")
+        self.linalg_threads = None if linalg_threads is None else int(linalg_threads)
         self.input_dim = int(input_dim)
         self.n_stack = int(n_stack)
         self.n_features = int(n_features)
@@ -117,12 +122,11 @@ class BatchedNeuralFeatureGP:
             rngs,
             activation=activation,
             output_activation=output_activation,
-            backend=self.xb,
         )
-        self.log_noise_variance = self.xb.full(self.n_stack, float(np.log(noise_variance)))
-        self.log_prior_variance = self.xb.full(self.n_stack, float(np.log(prior_variance)))
-        self._y_mean = self.xb.zeros(self.n_stack)
-        self._y_scale = self.xb.ones(self.n_stack)
+        self.log_noise_variance = np.full(self.n_stack, float(np.log(noise_variance)))
+        self.log_prior_variance = np.full(self.n_stack, float(np.log(prior_variance)))
+        self._y_mean = np.zeros(self.n_stack)
+        self._y_scale = np.ones(self.n_stack)
         self._x_train: np.ndarray | None = None
         self._z_train = None
         self._x_fantasy: list[np.ndarray] = []
@@ -141,12 +145,12 @@ class BatchedNeuralFeatureGP:
     @property
     def noise_variance(self) -> np.ndarray:
         """Per-slice sigma_n^2 in normalized-target units, shape ``(S,)``."""
-        return self.xb.exp(self.log_noise_variance)
+        return np.exp(self.log_noise_variance)
 
     @property
     def prior_variance(self) -> np.ndarray:
         """Per-slice sigma_p^2, shape ``(S,)``."""
-        return self.xb.exp(self.log_prior_variance)
+        return np.exp(self.log_prior_variance)
 
     @property
     def beta(self) -> np.ndarray:
@@ -165,13 +169,13 @@ class BatchedNeuralFeatureGP:
         x = check_matrix_2d(x, "x", self.input_dim)
         feats = self.network.forward(x)
         if self.add_bias_feature:
-            ones = self.xb.ones((self.n_stack, feats.shape[1], 1))
-            feats = self.xb.concatenate([feats, ones], axis=2)
+            ones = np.ones((self.n_stack, feats.shape[1], 1))
+            feats = np.concatenate([feats, ones], axis=2)
         return feats
 
     def backprop_feature_grad(self, grad_feats: np.ndarray) -> np.ndarray:
         """Back-propagate stacked ``dL/dphi``; returns ``(S, P)`` gradients."""
-        grad_feats = self.xb.asarray(grad_feats, dtype=float)
+        grad_feats = np.asarray(grad_feats, dtype=float)
         if self.add_bias_feature:
             grad_feats = grad_feats[:, :, :-1]
         self.network.zero_grad()
@@ -192,9 +196,8 @@ class BatchedNeuralFeatureGP:
         per-slice BLAS calls keep every value bitwise identical to
         :meth:`NeuralFeatureGP.marginal_nll`.
         """
-        xb = self.xb
-        feats = xb.asarray(feats, dtype=float)
-        z = xb.asarray(z, dtype=float)
+        feats = np.asarray(feats, dtype=float)
+        z = np.asarray(z, dtype=float)
         if feats.ndim != 3 or feats.shape[0] != self.n_stack:
             raise ValueError(
                 f"expected ({self.n_stack}, N, M) feats, got {tuple(feats.shape)}"
@@ -209,73 +212,55 @@ class BatchedNeuralFeatureGP:
         s_stack = self.n_stack
         sn2 = self.noise_variance
         beta = self.beta
-        feats_t = xb.swapaxes(feats, -1, -2)
-        a_mat = feats_t @ feats + beta[:, None, None] * xb.eye(m)
+        feats_t = np.swapaxes(feats, -1, -2)
+        a_mat = feats_t @ feats + beta[:, None, None] * np.eye(m)
         u = (feats_t @ z[..., None])[..., 0]
 
-        if xb.is_numpy:
-            # Per-slice M x M factorizations and solves through direct LAPACK
-            # (dpotrf/dpotrs): bitwise identical to the serial scipy calls and
-            # a rounding error next to the stacked GEMMs above.  With gradients
-            # the solve for ``r`` and for ``A^{-1}`` share one dpotrs call on
-            # the concatenated right-hand side ``[u | I]`` — column-independent,
-            # so each column matches its standalone solve exactly.  Slices are
-            # independent, so the loop runs through the namespace's slice
-            # mapper (threaded when ``linalg_threads`` is set; LAPACK and the
-            # per-slice GEMM release the GIL, and results never depend on the
-            # thread count).
-            r = np.empty((s_stack, m))
-            quad = np.empty(s_stack)
-            logdet = np.empty(s_stack)
-            gemm = np.empty_like(feats) if with_grads else None
-            r_sq = np.empty(s_stack) if with_grads else None
-            trace = np.empty(s_stack) if with_grads else None
+        # Per-slice M x M factorizations and solves through direct LAPACK
+        # (dpotrf/dpotrs): bitwise identical to the serial scipy calls and a
+        # rounding error next to the stacked GEMMs above.  With gradients the
+        # solve for ``r`` and for ``A^{-1}`` share one dpotrs call on the
+        # concatenated right-hand side ``[u | I]`` — column-independent, so
+        # each column matches its standalone solve exactly.  Slices are
+        # independent, so the loop may run threaded (``linalg_threads``;
+        # LAPACK and the per-slice GEMM release the GIL, and results never
+        # depend on the thread count).
+        r = np.empty((s_stack, m))
+        quad = np.empty(s_stack)
+        logdet = np.empty(s_stack)
+        gemm = np.empty_like(feats) if with_grads else None
+        r_sq = np.empty(s_stack) if with_grads else None
+        trace = np.empty(s_stack) if with_grads else None
 
-            def slice_terms(s: int) -> None:
-                chol_s = lapack_jitter_cholesky(a_mat[s])
-                logdet[s] = log_det_from_cholesky(chol_s)
-                if with_grads:
-                    r[s], a_inv_s = solve_r_and_inverse(chol_s, u[s])
-                    gemm[s] = feats[s] @ a_inv_s
-                    r_sq[s] = float(r[s] @ r[s])
-                    trace[s] = float(np.trace(a_inv_s))
-                else:
-                    r[s], _ = _lapack.dpotrs(chol_s, u[s], lower=1)
-                quad[s] = float(z[s] @ z[s] - u[s] @ r[s])
-
-            xb.map_slices(slice_terms, s_stack)
-        else:
-            # accelerator path: one fused factorization + solve for the whole
-            # stack (numerical equivalence gated at 1e-5, not bitwise)
-            chol = xb.batched_cholesky(a_mat)
-            logdet = 2.0 * xb.sum(xb.log(xb.diagonal(chol)), axis=-1)
+        def slice_terms(s: int) -> None:
+            chol_s = lapack_jitter_cholesky(a_mat[s])
+            logdet[s] = log_det_from_cholesky(chol_s)
             if with_grads:
-                r, a_inv = xb.batched_solve_r_and_inverse(chol, u)
-                gemm = feats @ a_inv
-                r_sq = xb.sum(r * r, axis=1)
-                trace = xb.sum(xb.diagonal(a_inv), axis=-1)
+                r[s], a_inv_s = solve_r_and_inverse(chol_s, u[s])
+                gemm[s] = feats[s] @ a_inv_s
+                r_sq[s] = float(r[s] @ r[s])
+                trace[s] = float(np.trace(a_inv_s))
             else:
-                r = xb.batched_cholesky_solve(chol, u)
-            quad = xb.sum(z * z, axis=1) - xb.sum(u * r, axis=1)
+                r[s], _ = _lapack.dpotrs(chol_s, u[s], lower=1)
+            quad[s] = float(z[s] @ z[s] - u[s] @ r[s])
+
+        map_slices(slice_terms, s_stack, self.linalg_threads)
         nll = (
             0.5 * quad / sn2
             + 0.5 * logdet
-            - 0.5 * m * xb.log(beta)
-            + 0.5 * n * xb.log(2.0 * np.pi * sn2)
+            - 0.5 * m * np.log(beta)
+            + 0.5 * n * np.log(2.0 * np.pi * sn2)
         )
         if not with_grads:
             return nll
 
+        # dfeats = -(resid r^T) / sn2 + feats A^{-1}, fused in place to avoid
+        # churning (S, N, M)-sized temporaries
         resid = z - (feats @ r[..., None])[..., 0]
-        if xb.is_numpy:
-            # dfeats = -(resid r^T) / sn2 + feats A^{-1}, fused in place to
-            # avoid churning (S, N, M)-sized temporaries
-            dfeats = resid[..., None] * r[:, None, :]
-            np.negative(dfeats, out=dfeats)
-            dfeats /= sn2[:, None, None]
-            dfeats += gemm
-        else:
-            dfeats = gemm - resid[..., None] * r[:, None, :] / sn2[:, None, None]
+        dfeats = resid[..., None] * r[:, None, :]
+        np.negative(dfeats, out=dfeats)
+        dfeats /= sn2[:, None, None]
+        dfeats += gemm
         dbeta = 0.5 * r_sq / sn2 + 0.5 * trace - 0.5 * m / beta
         dlog_noise = -0.5 * quad / sn2 + 0.5 * n + beta * dbeta
         dlog_prior = -beta * dbeta
@@ -306,19 +291,13 @@ class BatchedNeuralFeatureGP:
         self._x_train = x
         self._x_fantasy = []
         self._z_fantasy = []
-        # normalization statistics are computed host-side (bitwise-stable
-        # regardless of backend) and transferred with the targets
         if self.normalize_y:
-            y_mean = np.mean(y, axis=1)
-            y_scale = np.maximum(np.std(y, axis=1), StandardScaler._MIN_SCALE)
+            self._y_mean = np.mean(y, axis=1)
+            self._y_scale = np.maximum(np.std(y, axis=1), StandardScaler._MIN_SCALE)
         else:
-            y_mean = np.zeros(self.n_stack)
-            y_scale = np.ones(self.n_stack)
-        self._y_mean = self.xb.to_device(y_mean)
-        self._y_scale = self.xb.to_device(y_scale)
-        self._z_train = self.xb.to_device(
-            (y - y_mean[:, None]) / y_scale[:, None]
-        )
+            self._y_mean = np.zeros(self.n_stack)
+            self._y_scale = np.ones(self.n_stack)
+        self._z_train = (y - self._y_mean[:, None]) / self._y_scale[:, None]
         if trainer is None:
             from repro.core.trainer import BatchedFeatureGPTrainer
 
@@ -332,9 +311,7 @@ class BatchedNeuralFeatureGP:
         if not self._x_fantasy:
             return self._x_train, self._z_train
         x = np.vstack([self._x_train, *self._x_fantasy])
-        z = self.xb.concatenate(
-            [self._z_train, self.xb.stack(self._z_fantasy, axis=1)], axis=1
-        )
+        z = np.concatenate([self._z_train, np.stack(self._z_fantasy, axis=1)], axis=1)
         return x, z
 
     def fantasize(self, x_new: np.ndarray, y_new: np.ndarray):
@@ -357,7 +334,7 @@ class BatchedNeuralFeatureGP:
         if y_new.shape != (self.n_stack,):
             raise ValueError(f"expected ({self.n_stack},) targets, got {y_new.shape}")
         self._x_fantasy.append(x_new)
-        self._z_fantasy.append((self.xb.asarray(y_new) - self._y_mean) / self._y_scale)
+        self._z_fantasy.append((y_new - self._y_mean) / self._y_scale)
         self.update_posterior()
 
     def observe(self, x_new: np.ndarray, y_new: np.ndarray):
@@ -380,8 +357,8 @@ class BatchedNeuralFeatureGP:
         if y_new.shape != (self.n_stack,):
             raise ValueError(f"expected ({self.n_stack},) targets, got {y_new.shape}")
         self._x_train = np.vstack([self._x_train, x_new])
-        z_new = (self.xb.asarray(y_new) - self._y_mean) / self._y_scale
-        self._z_train = self.xb.concatenate([self._z_train, z_new[:, None]], axis=1)
+        z_new = (y_new - self._y_mean) / self._y_scale
+        self._z_train = np.concatenate([self._z_train, z_new[:, None]], axis=1)
         self.update_posterior()
 
     def clear_fantasies(self, update: bool = True):
@@ -408,24 +385,24 @@ class BatchedNeuralFeatureGP:
         """(Re)compute the stacked ``A`` factorizations for predictions."""
         if self._x_train is None:
             raise RuntimeError("no training data; call fit() first")
-        xb = self.xb
         x_data, z_data = self._posterior_data()
         feats = self.features(x_data)
         m = feats.shape[2]
-        feats_t = xb.swapaxes(feats, -1, -2)
-        a_mat = feats_t @ feats + self.beta[:, None, None] * xb.eye(m)
+        feats_t = np.swapaxes(feats, -1, -2)
+        a_mat = feats_t @ feats + self.beta[:, None, None] * np.eye(m)
         u = (feats_t @ z_data[..., None])[..., 0]
         # Cache A^{-1} per slice: predictive variances then cost one stacked
         # GEMM per query instead of S triangular-solve calls — the
         # acquisition maximizer issues thousands of single-point queries per
         # BO iteration, where per-call LAPACK overhead would dominate.  A is
         # regularized (beta floor + jitter ladder), so the explicit inverse
-        # stays well within the engine's 1e-8 prediction tolerance.  On the
-        # numpy backend these are the exact per-slice dpotrf/dpotrs loops
-        # (threaded when ``linalg_threads`` is set, results thread-count
-        # independent); accelerators run one fused batched factorization.
-        self._chol_a = xb.batched_cholesky(a_mat)
-        self._coef_r, self._a_inv = xb.batched_solve_r_and_inverse(self._chol_a, u)
+        # stays well within the engine's 1e-8 prediction tolerance.  These
+        # are the exact per-slice dpotrf/dpotrs loops (threaded when
+        # ``linalg_threads`` is set, results thread-count independent).
+        self._chol_a = batched_jitter_cholesky(a_mat, threads=self.linalg_threads)
+        self._coef_r, self._a_inv = numpy_backend.batched_solve_r_and_inverse(
+            self._chol_a, u, self.linalg_threads
+        )
 
     # -- prediction (eq. 10, per slice) ---------------------------------------------
 
@@ -438,23 +415,20 @@ class BatchedNeuralFeatureGP:
         matching :meth:`NeuralFeatureGP.predict` would return.
         """
         self._require_fitted()
-        xb = self.xb
         feats = self.features(x)
         z_mean = (feats @ self._coef_r[..., None])[..., 0]
         # sigma_n^2 phi^T A^{-1} phi via the cached stacked inverse (see
         # update_posterior); agrees with the serial Cholesky-solve route to
         # well below the engine's 1e-8 tolerance
-        quad = xb.sum((feats @ self._a_inv) * feats, axis=2)
+        quad = np.sum((feats @ self._a_inv) * feats, axis=2)
         sn2 = self.noise_variance
         z_var = sn2[:, None] * quad
         if include_noise:
             z_var = z_var + sn2[:, None]
-        z_var = xb.maximum(z_var, 1e-14)
+        z_var = np.maximum(z_var, 1e-14)
         mean = z_mean * self._y_scale[:, None] + self._y_mean[:, None]
         var = z_var * (self._y_scale**2)[:, None]
-        # results return to the host: every consumer (moment matching,
-        # acquisitions) runs numpy-side regardless of backend
-        return xb.from_device(mean), xb.from_device(var)
+        return mean, var
 
     def sample_slice_weights(self, s: int, rng=None) -> np.ndarray:
         """Draw one posterior head-weight sample for slice ``s``, shape ``(M,)``.
@@ -470,17 +444,11 @@ class BatchedNeuralFeatureGP:
         if not 0 <= s < self.n_stack:
             raise IndexError(f"slice {s} out of range [0, {self.n_stack})")
         rng = ensure_rng(rng)
-        m = self.feature_dim
-        # eps is drawn host-side on every backend (determinism policy)
-        eps = rng.standard_normal(m)
+        eps = rng.standard_normal(self.feature_dim)
         # cov = sigma_n^2 A^{-1} = sigma_n^2 L^{-T} L^{-1}; a draw is
         # sqrt(sigma_n^2) L^{-T} eps
-        if self.xb.is_numpy:
-            half = _lapack.dtrtrs(self._chol_a[s], eps, lower=1, trans=1)[0]
-            return self._coef_r[s] + np.sqrt(self.noise_variance[s]) * half
-        xb = self.xb
-        half = xb.solve_lower_transposed(self._chol_a[s], xb.to_device(eps))
-        return self._coef_r[s] + xb.sqrt(self.noise_variance[s]) * half
+        half = _lapack.dtrtrs(self._chol_a[s], eps, lower=1, trans=1)[0]
+        return self._coef_r[s] + np.sqrt(self.noise_variance[s]) * half
 
     def gather_slices(self, idx) -> "BatchedNeuralFeatureGP":
         """A new stacked model holding copies of the selected slices.
@@ -498,18 +466,17 @@ class BatchedNeuralFeatureGP:
         if np.any(idx < 0) or np.any(idx >= self.n_stack):
             raise IndexError(f"slice indices out of range [0, {self.n_stack})")
         sub = object.__new__(BatchedNeuralFeatureGP)
-        sub.xb = self.xb
+        sub.linalg_threads = self.linalg_threads
         sub.input_dim = self.input_dim
         sub.n_stack = int(idx.size)
         sub.n_features = self.n_features
         sub.add_bias_feature = self.add_bias_feature
         sub.normalize_y = self.normalize_y
         sub.network = self.network.gather_slices(idx)
-        idx_b = self.xb.as_index(idx)
-        sub.log_noise_variance = self.xb.copy(self.xb.asarray(self.log_noise_variance)[idx_b])
-        sub.log_prior_variance = self.xb.copy(self.xb.asarray(self.log_prior_variance)[idx_b])
-        sub._y_mean = self.xb.copy(self._y_mean[idx_b])
-        sub._y_scale = self.xb.copy(self._y_scale[idx_b])
+        sub.log_noise_variance = self.log_noise_variance[idx].copy()
+        sub.log_prior_variance = self.log_prior_variance[idx].copy()
+        sub._y_mean = self._y_mean[idx].copy()
+        sub._y_scale = self._y_scale[idx].copy()
         sub._x_train = None
         sub._z_train = None
         sub._x_fantasy = []
@@ -576,9 +543,8 @@ class SurrogateBank:
         :class:`~repro.core.trainer.BatchedFeatureGPTrainer` per fit;
         defaults to the stock settings.
     hidden_dims, n_features, activation, output_activation,
-    noise_variance, prior_variance, normalize_y, seed, backend:
-        Forwarded to :class:`BatchedNeuralFeatureGP` (``backend`` selects
-        the array namespace; the root RNG stream is backend-independent).
+    noise_variance, prior_variance, normalize_y, seed, linalg_threads:
+        Forwarded to :class:`BatchedNeuralFeatureGP`.
     """
 
     def __init__(
@@ -596,7 +562,7 @@ class SurrogateBank:
         normalize_y: bool = True,
         trainer_factory=None,
         seed=None,
-        backend=None,
+        linalg_threads: int | None = None,
     ):
         if n_targets < 1:
             raise ValueError(f"n_targets must be >= 1, got {n_targets}")
@@ -618,7 +584,7 @@ class SurrogateBank:
             prior_variance=prior_variance,
             normalize_y=normalize_y,
             seed=rngs,
-            backend=backend,
+            linalg_threads=linalg_threads,
         )
         self._trainer_factory = trainer_factory
         self._pred_cache: tuple | None = None
@@ -738,7 +704,7 @@ class SurrogateBank:
 
         def sampled(x: np.ndarray, _s=s, _w=weights) -> np.ndarray:
             feats = self._gp.features(np.atleast_2d(np.asarray(x, dtype=float)))
-            return self._gp.xb.from_device(feats[_s] @ _w) * scale + mean
+            return (feats[_s] @ _w) * scale + mean
 
         return sampled
 

@@ -246,7 +246,7 @@ class BatchedFeatureGPTrainer:
         (the contract with ``BatchedNeuralFeatureGP.fit``).
         """
         x = check_matrix_2d(x, "x", model.input_dim)
-        z = model.xb.asarray(z, dtype=float)
+        z = np.asarray(z, dtype=float)
         if tuple(z.shape) != (model.n_stack, x.shape[0]):
             raise ValueError(
                 f"expected z shape ({model.n_stack}, {x.shape[0]}), got {tuple(z.shape)}"
@@ -263,12 +263,6 @@ class BatchedFeatureGPTrainer:
 
     def _pretrain(self, model, x: np.ndarray, z: np.ndarray):
         """MSE warm start with throwaway per-slice linear heads."""
-        if not model.xb.is_numpy:
-            raise NotImplementedError(
-                "MSE pre-training supports the numpy backend only; train the "
-                "likelihood directly (pretrain_epochs=0, the default) on "
-                f"backend {model.xb.name!r}"
-            )
         s_stack = model.n_stack
         head = BatchedLinear(model.n_features, 1, rngs=spawn_rngs(self._rng, s_stack))
         optimizer = StackedAdam(lr=self.pretrain_lr)
@@ -309,29 +303,19 @@ class BatchedFeatureGPTrainer:
         net.set_stacked_params(params[:, :n_net])
 
     def _train_nll(self, model, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Stacked full-batch Adam on ``[log sigma_n^2, log sigma_p^2, eta]``.
-
-        Parameters, gradients and moments live on the model's array
-        backend; the control-flow state (best NLL, stall counters, active
-        masks) stays host-side numpy on every backend — it is bookkeeping,
-        not tensor math, and the per-epoch transfer is one ``(S,)`` NLL
-        vector.
-        """
-        xb = model.xb
+        """Stacked full-batch Adam on ``[log sigma_n^2, log sigma_p^2, eta]``."""
         optimizer = self._optimizer_factory()
-        if hasattr(optimizer, "bind_backend"):
-            optimizer.bind_backend(xb)
         net = model.network
         s_stack = model.n_stack
-        params = xb.concatenate(
+        params = np.concatenate(
             [
-                xb.stack([model.log_noise_variance, model.log_prior_variance], axis=1),
+                np.stack([model.log_noise_variance, model.log_prior_variance], axis=1),
                 net.get_stacked_params(),
             ],
             axis=1,
         )
         best_nll = np.full(s_stack, np.inf)
-        best_params = xb.copy(params)
+        best_params = params.copy()
         stall = np.zeros(s_stack, dtype=int)
         active = np.ones(s_stack, dtype=bool)
         # active-slice compaction state: ``view`` is the stacked model the
@@ -348,25 +332,24 @@ class BatchedFeatureGPTrainer:
                 if n_active < n_view:
                     view_idx = np.flatnonzero(active)
                     view = model.gather_slices(view_idx)
-            rows = slice(None) if view_idx is None else xb.as_index(view_idx)
+            rows = slice(None) if view_idx is None else view_idx
             self._write_params(view, params[rows])
             feats = view.features(x)
             nll_v, dfeats, d_log_noise, d_log_prior = view.marginal_nll(
                 feats, z[rows], with_grads=True
             )
             if view_idx is None:
-                nll = np.asarray(xb.from_device(nll_v), dtype=float)
+                nll = np.asarray(nll_v, dtype=float)
             else:
                 nll = np.full(s_stack, np.nan)
-                nll[view_idx] = xb.from_device(nll_v)
+                nll[view_idx] = nll_v
             self.loss_history.append(nll.copy())
             finite = np.isfinite(nll)
             bad = active & ~finite
             if bad.any():
                 # restart those slices from their best point (serial: params
                 # reset + optimizer.reset + continue)
-                bad_rows = xb.as_index(bad)
-                params[bad_rows] = best_params[bad_rows]
+                params[bad] = best_params[bad]
                 optimizer.reset_slices(bad)
                 stall[bad] += 1
                 if self.patience is not None:
@@ -374,8 +357,7 @@ class BatchedFeatureGPTrainer:
             improved = active & finite & (nll < best_nll - 1e-9)
             if improved.any():
                 best_nll[improved] = nll[improved]
-                imp_rows = xb.as_index(improved)
-                best_params[imp_rows] = params[imp_rows]
+                best_params[improved] = params[improved]
                 stall[improved] = 0
             worse = active & finite & ~improved
             stall[worse] += 1
@@ -385,29 +367,26 @@ class BatchedFeatureGPTrainer:
             step_mask = active & finite
             if step_mask.any():
                 grad_eta = view.backprop_feature_grad(dfeats)
-                grads_v = xb.concatenate(
+                grads_v = np.concatenate(
                     [d_log_noise[:, None], d_log_prior[:, None], grad_eta], axis=1
                 )
                 if view_idx is None:
                     grads = grads_v
                 else:
-                    grads = xb.zeros_like(params)
-                    grads[xb.as_index(view_idx)] = grads_v
+                    grads = np.zeros_like(params)
+                    grads[view_idx] = grads_v
                 params = optimizer.step(params, grads, mask=step_mask)
-                params[:, 0] = xb.clip(params[:, 0], *LOG_NOISE_BOUNDS)
-                params[:, 1] = xb.clip(params[:, 1], *LOG_PRIOR_BOUNDS)
+                params[:, 0] = np.clip(params[:, 0], *LOG_NOISE_BOUNDS)
+                params[:, 1] = np.clip(params[:, 1], *LOG_PRIOR_BOUNDS)
         self._write_params(model, best_params)
         if np.all(np.isfinite(best_nll)):
             return best_nll
         feats = model.features(x)
-        fallback = np.asarray(
-            xb.from_device(model.marginal_nll(feats, z)), dtype=float
-        )
+        fallback = np.asarray(model.marginal_nll(feats, z), dtype=float)
         return np.where(np.isfinite(best_nll), best_nll, fallback)
 
     @staticmethod
     def _write_params(model, params: np.ndarray):
-        xb = model.xb
-        model.log_noise_variance = xb.copy(params[:, 0])
-        model.log_prior_variance = xb.copy(params[:, 1])
+        model.log_noise_variance = params[:, 0].copy()
+        model.log_prior_variance = params[:, 1].copy()
         model.network.set_stacked_params(params[:, 2:])

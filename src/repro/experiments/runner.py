@@ -236,18 +236,17 @@ def add_scheduler_arguments(parser) -> None:
         "--backend",
         choices=("auto", "numpy", "torch", "cupy"),
         default=None,
-        help="array backend for NN-BO's batched surrogate engine "
-        "(numpy is the bitwise-reference default; torch/cupy need the "
-        "matching package installed; auto picks the first available "
-        "accelerator)",
+        help="array backend of NN-BO's batched surrogate engine: numpy "
+        "(auto means numpy; the removed torch/cupy backends raise "
+        "BackendNotAvailable)",
     )
     parser.add_argument(
         "--device", default=None,
-        help="accelerator device for the array backend (e.g. cuda:0)",
+        help="device of the array backend (only cpu is accepted)",
     )
     parser.add_argument(
         "--linalg-threads", type=int, default=None,
-        help="thread count for the numpy backend's per-slice "
+        help="thread count for the batched engine's per-slice "
         "Cholesky/solve loops (default: serial)",
     )
     parser.add_argument(

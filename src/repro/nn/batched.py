@@ -18,27 +18,15 @@ Python).  A shared 2-D input ``(N, in_dim)`` broadcasts across the stack
 on the first layer, exactly as if each network had been fed the same
 batch.
 
-Array backends
---------------
-
-All stacked tensors live in a pluggable array namespace
-(:mod:`repro.backend`): ``backend=None`` (the default) is plain numpy,
-while ``"torch"``/``"cupy"`` route the same program through accelerator
-GEMMs.  Weight initialization always draws from the host numpy
-generators and transfers (the cross-backend determinism policy), so
-every backend starts from the identical weights.
-
 Per-slice numerical equivalence
 -------------------------------
 
-On the numpy backend each stacked operation applies, slice by slice, the
-*same* BLAS kernel the per-member path uses, so slice ``s`` of a
-:class:`BatchedSequential` built with ``rngs[s]`` reproduces
+Every tensor is a numpy array, and each stacked operation applies, slice
+by slice, the *same* BLAS kernel the per-member path uses, so slice ``s``
+of a :class:`BatchedSequential` built with ``rngs[s]`` reproduces
 ``make_mlp(..., rng=rngs[s])`` forward and backward bit-for-bit.  The
 equivalence tests in ``tests/nn/test_batched.py`` and
-``tests/core/test_batched_gp.py`` pin this contract.  Accelerator
-backends reorder GEMM reductions and are gated at tolerance instead
-(``tests/backend/``).
+``tests/core/test_batched_gp.py`` pin this contract.
 """
 
 from __future__ import annotations
@@ -47,7 +35,6 @@ import copy
 
 import numpy as np
 
-from repro.backend import resolve_namespace
 from repro.nn.activations import make_activation
 from repro.nn.initializers import he_normal, xavier_uniform
 from repro.nn.layers import Layer
@@ -67,38 +54,28 @@ class BatchedLinear(Layer):
         standalone :class:`~repro.nn.layers.Linear` would make, so batched
         and per-member networks can share initial weights exactly.
     weight_init:
-        Callable ``(shape, rng) -> ndarray`` used per slice (always
-        evaluated on the host: the backend determinism policy).
-    backend:
-        Array namespace (or name) the parameters live in; ``None`` is the
-        numpy default.
+        Callable ``(shape, rng) -> ndarray`` used per slice.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, rngs, weight_init=he_normal, backend=None):
+    def __init__(self, in_dim: int, out_dim: int, rngs, weight_init=he_normal):
         if in_dim <= 0 or out_dim <= 0:
             raise ValueError(f"layer dims must be positive, got {in_dim}x{out_dim}")
         rngs = list(rngs)
         if not rngs:
             raise ValueError("BatchedLinear needs at least one slice rng")
-        self.xb = resolve_namespace(backend)
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.n_stack = len(rngs)
-        self.weight = self.xb.to_device(
-            np.stack(
-                [
-                    np.asarray(weight_init((in_dim, out_dim), rng), dtype=float)
-                    for rng in rngs
-                ]
-            )
+        self.weight = np.stack(
+            [np.asarray(weight_init((in_dim, out_dim), rng), dtype=float) for rng in rngs]
         )
-        self.bias = self.xb.zeros((self.n_stack, out_dim))
-        self.grad_weight = self.xb.zeros_like(self.weight)
-        self.grad_bias = self.xb.zeros_like(self.bias)
+        self.bias = np.zeros((self.n_stack, out_dim))
+        self.grad_weight = np.zeros_like(self.weight)
+        self.grad_bias = np.zeros_like(self.bias)
         self._x = None
 
     def forward(self, x):
-        x = self.xb.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
         if x.ndim == 2:
             # shared input: broadcast one (N, in_dim) batch across the stack
             if x.shape[1] != self.in_dim:
@@ -119,13 +96,13 @@ class BatchedLinear(Layer):
     def backward(self, grad_out):
         if self._x is None:
             raise RuntimeError("backward() called before forward()")
-        grad_out = self.xb.asarray(grad_out, dtype=float)
+        grad_out = np.asarray(grad_out, dtype=float)
         if self._x.ndim == 2:
             self.grad_weight += self._x.T @ grad_out
         else:
-            self.grad_weight += self.xb.swapaxes(self._x, -1, -2) @ grad_out
-        self.grad_bias += self.xb.sum(grad_out, axis=1)
-        return grad_out @ self.xb.swapaxes(self.weight, -1, -2)
+            self.grad_weight += np.swapaxes(self._x, -1, -2) @ grad_out
+        self.grad_bias += np.sum(grad_out, axis=1)
+        return grad_out @ np.swapaxes(self.weight, -1, -2)
 
     @property
     def params(self) -> list:
@@ -139,89 +116,18 @@ class BatchedLinear(Layer):
         """A new layer holding copies of the selected slices' parameters."""
         idx = np.asarray(idx, dtype=int)
         sub = object.__new__(BatchedLinear)
-        sub.xb = self.xb
         sub.in_dim = self.in_dim
         sub.out_dim = self.out_dim
         sub.n_stack = int(idx.size)
-        idx_b = self.xb.as_index(idx)
-        sub.weight = self.xb.copy(self.weight[idx_b])
-        sub.bias = self.xb.copy(self.bias[idx_b])
-        sub.grad_weight = self.xb.zeros_like(sub.weight)
-        sub.grad_bias = self.xb.zeros_like(sub.bias)
+        sub.weight = self.weight[idx].copy()
+        sub.bias = self.bias[idx].copy()
+        sub.grad_weight = np.zeros_like(sub.weight)
+        sub.grad_bias = np.zeros_like(sub.bias)
         sub._x = None
         return sub
 
     def __repr__(self) -> str:
         return f"BatchedLinear(S={self.n_stack}, {self.in_dim}, {self.out_dim})"
-
-
-class _BackendActivation(Layer):
-    """Element-wise activation evaluated through an array namespace.
-
-    The numpy engine keeps using the plain layers in
-    :mod:`repro.nn.activations` (untouched, bitwise guarantee); this class
-    mirrors their exact formulas — including the +-60 sigmoid clamp — for
-    accelerator backends, where ``np.*`` calls would force host round
-    trips.
-    """
-
-    _NAMES = ("relu", "leaky_relu", "tanh", "sigmoid", "softplus", "identity")
-
-    def __init__(self, name: str, backend, alpha: float = 0.01):
-        name = str(name).lower()
-        if name not in self._NAMES:
-            raise ValueError(
-                f"unknown activation {name!r}; choose from {sorted(self._NAMES)}"
-            )
-        self.name = name
-        self.alpha = float(alpha)
-        self.xb = resolve_namespace(backend)
-        self._x = None
-
-    def forward(self, x):
-        self._x = self.xb.asarray(x, dtype=float)
-        return self._value(self._x)
-
-    def backward(self, grad_out):
-        if self._x is None:
-            raise RuntimeError("backward() called before forward()")
-        return self.xb.asarray(grad_out, dtype=float) * self._derivative(self._x)
-
-    def _sigmoid(self, x):
-        xb = self.xb
-        return 1.0 / (1.0 + xb.exp(-xb.clip(x, -60.0, 60.0)))
-
-    def _value(self, x):
-        xb = self.xb
-        if self.name == "relu":
-            return xb.maximum(x, 0.0)
-        if self.name == "leaky_relu":
-            return xb.where(x > 0.0, x, self.alpha * x)
-        if self.name == "tanh":
-            return xb.tanh(x)
-        if self.name == "sigmoid":
-            return self._sigmoid(x)
-        if self.name == "softplus":
-            return xb.logaddexp(0.0, x)
-        return x
-
-    def _derivative(self, x):
-        xb = self.xb
-        if self.name == "relu":
-            return xb.where(x > 0.0, 1.0, 0.0)
-        if self.name == "leaky_relu":
-            return xb.where(x > 0.0, 1.0, self.alpha)
-        if self.name == "tanh":
-            return 1.0 - xb.tanh(x) ** 2
-        if self.name == "sigmoid":
-            s = self._sigmoid(x)
-            return s * (1.0 - s)
-        if self.name == "softplus":
-            return self._sigmoid(x)
-        return xb.zeros_like(x) + 1.0
-
-    def __repr__(self) -> str:
-        return f"_BackendActivation({self.name!r}, backend={self.xb.name})"
 
 
 class BatchedSequential(Layer):
@@ -233,23 +139,22 @@ class BatchedSequential(Layer):
     the contract the stacked trainer relies on to mirror the serial one.
     """
 
-    def __init__(self, layers: list[Layer], n_stack: int, backend=None):
+    def __init__(self, layers: list[Layer], n_stack: int):
         if not layers:
             raise ValueError("BatchedSequential requires at least one layer")
         if n_stack < 1:
             raise ValueError(f"n_stack must be >= 1, got {n_stack}")
         self.layers = list(layers)
         self.n_stack = int(n_stack)
-        self.xb = resolve_namespace(backend)
 
     def forward(self, x):
-        out = self.xb.asarray(x, dtype=float)
+        out = np.asarray(x, dtype=float)
         for layer in self.layers:
             out = layer.forward(out)
         return out
 
     def backward(self, grad_out):
-        grad = self.xb.asarray(grad_out, dtype=float)
+        grad = np.asarray(grad_out, dtype=float)
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
@@ -267,29 +172,29 @@ class BatchedSequential(Layer):
     @property
     def num_params_per_slice(self) -> int:
         """Scalar parameters per slice (matches the per-member flat size)."""
-        return sum(_size(p) // self.n_stack for p in self.params)
+        return sum(p.size // self.n_stack for p in self.params)
 
-    def get_stacked_params(self):
+    def get_stacked_params(self) -> np.ndarray:
         """Parameters as ``(S, P)``; row ``s`` is slice s's flat vector."""
-        return self.xb.concatenate(
+        return np.concatenate(
             [p.reshape(self.n_stack, -1) for p in self.params], axis=1
         )
 
-    def set_stacked_params(self, flat):
+    def set_stacked_params(self, flat: np.ndarray):
         """Write an ``(S, P)`` matrix back into the live parameter arrays."""
-        flat = self.xb.asarray(flat, dtype=float)
+        flat = np.asarray(flat, dtype=float)
         expected = (self.n_stack, self.num_params_per_slice)
         if tuple(flat.shape) != expected:
             raise ValueError(f"expected shape {expected}, got {tuple(flat.shape)}")
         offset = 0
         for p in self.params:
-            width = _size(p) // self.n_stack
+            width = p.size // self.n_stack
             p[...] = flat[:, offset : offset + width].reshape(p.shape)
             offset += width
 
-    def get_stacked_grads(self):
+    def get_stacked_grads(self) -> np.ndarray:
         """Parameter gradients as ``(S, P)``, matching the params layout."""
-        return self.xb.concatenate(
+        return np.concatenate(
             [g.reshape(self.n_stack, -1) for g in self.grads], axis=1
         )
 
@@ -318,17 +223,11 @@ class BatchedSequential(Layer):
                 if hasattr(clone, "_x"):
                     clone._x = None
                 layers.append(clone)
-        return BatchedSequential(layers, n_stack=int(idx.size), backend=self.xb)
+        return BatchedSequential(layers, n_stack=int(idx.size))
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(layer) for layer in self.layers)
         return f"BatchedSequential(S={self.n_stack}, [{inner}])"
-
-
-def _size(p) -> int:
-    """Element count of a parameter array (``.size`` is a method on torch)."""
-    size = p.size
-    return int(size() if callable(size) else size)
 
 
 def make_batched_mlp(
@@ -338,17 +237,14 @@ def make_batched_mlp(
     rngs,
     activation: str = "relu",
     output_activation: str = "identity",
-    backend=None,
 ) -> BatchedSequential:
     """Build S copies of the paper's feature network as one stacked MLP.
 
     ``rngs`` is a sequence of S seeds/generators, one per slice.  Slice
     ``s`` consumes ``rngs[s]`` in the same layer order as
     :func:`~repro.nn.network.make_mlp`, so it starts from exactly the
-    weights ``make_mlp(..., rng=rngs[s])`` would produce — on every
-    backend (inits are drawn host-side and transferred).
+    weights ``make_mlp(..., rng=rngs[s])`` would produce.
     """
-    xb = resolve_namespace(backend)
     rngs = [ensure_rng(rng) for rng in rngs]
     if not rngs:
         raise ValueError("make_batched_mlp needs at least one slice rng")
@@ -361,14 +257,9 @@ def make_batched_mlp(
     init = he_normal if activation in ("relu", "leaky_relu") else xavier_uniform
     layers: list[Layer] = []
     for i in range(len(dims) - 1):
-        layers.append(
-            BatchedLinear(dims[i], dims[i + 1], rngs, weight_init=init, backend=xb)
-        )
+        layers.append(BatchedLinear(dims[i], dims[i + 1], rngs, weight_init=init))
         is_last = i == len(dims) - 2
         name = output_activation if is_last else activation
         if name != "identity":
-            if xb.is_numpy:
-                layers.append(make_activation(name))
-            else:
-                layers.append(_BackendActivation(name, xb))
-    return BatchedSequential(layers, n_stack=len(rngs), backend=xb)
+            layers.append(make_activation(name))
+    return BatchedSequential(layers, n_stack=len(rngs))

@@ -108,12 +108,8 @@ class StackedAdam(Optimizer):
     * ``reset_slices(mask)`` zeroes the moments and counter of selected
       rows only (the serial trainer's per-member ``optimizer.reset()``).
 
-    :meth:`bind_backend` routes the update through an accelerator array
-    namespace (:mod:`repro.backend`); unbound (or bound to numpy) the
-    optimizer runs the reference numpy path, whose per-slice evolution is
-    bitwise identical to a scalar :class:`Adam` per row.  The step
-    counter and masks stay host-side on every backend — they are control
-    flow, not tensor math.
+    Each row's evolution is bitwise identical to a scalar :class:`Adam`
+    dedicated to it.
     """
 
     def __init__(
@@ -136,25 +132,10 @@ class StackedAdam(Optimizer):
         self._t: np.ndarray | None = None
         self._s1: np.ndarray | None = None
         self._s2: np.ndarray | None = None
-        self._xb = None
-
-    def bind_backend(self, backend):
-        """Route tensor updates through an array namespace.
-
-        ``None`` or a numpy namespace selects the reference numpy path;
-        anything else switches :meth:`step`/:meth:`reset_slices` to
-        namespace ops so moments stay on the accelerator.
-        """
-        if backend is None or getattr(backend, "is_numpy", False):
-            self._xb = None
-        else:
-            self._xb = backend
 
     def step(
         self, params: np.ndarray, grads: np.ndarray, mask: np.ndarray | None = None
     ) -> np.ndarray:
-        if self._xb is not None:
-            return self._step_backend(params, grads, mask)
         params = np.asarray(params, dtype=float)
         grads = np.asarray(grads, dtype=float)
         if params.ndim != 2:
@@ -211,47 +192,6 @@ class StackedAdam(Optimizer):
         self._m, self._v, self._t = m_new, v_new, t_new
         return np.where(col, stepped, params)
 
-    def _step_backend(self, params, grads, mask=None):
-        """Accelerator-namespace update; mirrors the numpy expressions.
-
-        Scratch-buffer micro-optimizations are numpy-path-only — on
-        accelerators the expression form lets the library fuse/queue the
-        kernels itself.
-        """
-        xb = self._xb
-        if params.ndim != 2:
-            raise ValueError(
-                f"StackedAdam expects (S, P) params, got {tuple(params.shape)}"
-            )
-        if self._m is None or tuple(self._m.shape) != tuple(params.shape):
-            self._m = xb.zeros_like(params)
-            self._v = xb.zeros_like(params)
-            self._t = np.zeros(params.shape[0], dtype=int)
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.all():
-                mask = None
-        if mask is None:
-            self._t += 1
-            self._m = self.beta1 * self._m + (1.0 - self.beta1) * grads
-            self._v = self.beta2 * self._v + (1.0 - self.beta2) * grads * grads
-            denom1, denom2 = self._bias_denominators(self._t)
-            m_hat = self._m / xb.to_device(denom1)[:, None]
-            v_hat = self._v / xb.to_device(denom2)[:, None]
-            return params - self.lr * m_hat / (xb.sqrt(v_hat) + self.eps)
-        col = xb.to_device(mask)[:, None]
-        t_new = np.where(mask, self._t + 1, self._t)
-        m_new = xb.where(col, self.beta1 * self._m + (1.0 - self.beta1) * grads, self._m)
-        v_new = xb.where(
-            col, self.beta2 * self._v + (1.0 - self.beta2) * grads * grads, self._v
-        )
-        denom1, denom2 = self._bias_denominators(np.maximum(t_new, 1))
-        m_hat = m_new / xb.to_device(denom1)[:, None]
-        v_hat = v_new / xb.to_device(denom2)[:, None]
-        stepped = params - self.lr * m_hat / (xb.sqrt(v_hat) + self.eps)
-        self._m, self._v, self._t = m_new, v_new, t_new
-        return xb.where(col, stepped, params)
-
     def _bias_denominators(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-slice ``1 - beta**t`` via Python pow.
 
@@ -268,9 +208,8 @@ class StackedAdam(Optimizer):
         if self._m is None:
             return
         mask = np.asarray(mask, dtype=bool)
-        rows = mask if self._xb is None else self._xb.as_index(mask)
-        self._m[rows] = 0.0
-        self._v[rows] = 0.0
+        self._m[mask] = 0.0
+        self._v[mask] = 0.0
         self._t[mask] = 0
 
     def reset(self):

@@ -30,6 +30,7 @@ from repro.service.errors import (
     ServiceBusy,
     ServiceError,
     StudyExists,
+    StudyIncomplete,
     UnknownProblem,
     UnknownStudy,
     error_envelope,
@@ -55,6 +56,7 @@ __all__ = [
     "ServiceError",
     "StudyClient",
     "StudyExists",
+    "StudyIncomplete",
     "StudyServer",
     "StudyStore",
     "URL_PREFIX",

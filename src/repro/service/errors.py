@@ -65,6 +65,18 @@ class StudyExists(ServiceError):
     http_status = 409
 
 
+class StudyIncomplete(ServiceError):
+    """A study's files are incomplete, so it cannot be loaded.
+
+    Its meta file exists but its checkpoint does not (a ``create`` that
+    was killed between the two writes).  ``detail["missing"]`` names the
+    missing file; deleting the study frees the name.
+    """
+
+    code = "study-incomplete"
+    http_status = 409
+
+
 class UnknownProblem(ServiceError):
     """The problem spec names no registered problem."""
 
@@ -101,6 +113,7 @@ SERVICE_ERROR_CLASSES = (
     ProtocolMismatch,
     UnknownStudy,
     StudyExists,
+    StudyIncomplete,
     UnknownProblem,
     ServiceBusy,
     ServiceError,
@@ -166,6 +179,7 @@ __all__ = [
     "ServiceBusy",
     "ServiceError",
     "StudyExists",
+    "StudyIncomplete",
     "UnknownProblem",
     "UnknownStudy",
     "error_envelope",

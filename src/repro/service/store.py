@@ -10,7 +10,11 @@ service hosts.  Three properties do the heavy lifting:
   in flight.  Each study persists as two files: ``{name}.study.json``
   (the :meth:`Study.checkpoint` payload) and ``{name}.meta.json`` (the
   problem spec, config payloads and seed needed to rebuild the
-  non-JSON-able constructor arguments).
+  non-JSON-able constructor arguments).  ``create`` writes the meta file
+  last, and the store discovers studies by their meta files, so a kill
+  during ``create`` leaves no half-made study behind; a meta file without
+  its checkpoint (written by an older version) is reported as
+  :class:`~repro.service.errors.StudyIncomplete` until deleted.
 * **Concurrency** — a global table lock guards only the name->entry map;
   each study has its own lock, so requests against different studies
   run fully in parallel while requests against one study serialize
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import re
 import threading
 import time
@@ -43,9 +46,11 @@ from repro.service.errors import (
     BadRequest,
     ServiceBusy,
     StudyExists,
+    StudyIncomplete,
     UnknownStudy,
 )
 from repro.service.problems import ExternalProblem, build_problem
+from repro.utils.serialization import write_json_atomic
 
 #: study names double as file stems, so keep them filesystem-portable
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,119}$")
@@ -211,10 +216,12 @@ class StudyStore:
                     seed=seed,
                     **configs,
                 )
-                _atomic_write_json(self._meta_path(name), meta)
                 entry.meta = meta
                 entry.study = study
                 self._checkpoint(entry)
+                # the meta file makes the study discoverable, so it goes
+                # last: a kill before it leaves only an ignored checkpoint
+                write_json_atomic(self._meta_path(name), meta)
                 self._touch(entry)
                 self._enforce_residency(keep=entry)
                 return study.describe()
@@ -448,6 +455,14 @@ class StudyStore:
                     f"is {meta.get('format')!r}, expected {META_FORMAT!r}"
                 )
             entry.meta = meta
+        study_path = self._study_path(entry.name)
+        if not study_path.exists():
+            raise StudyIncomplete(
+                f"study {entry.name!r} is incomplete: its meta file exists but "
+                f"its checkpoint {study_path.name} does not (its create was "
+                "interrupted); delete the study to free the name",
+                detail={"missing": study_path.name},
+            )
         problem = build_problem(meta["problem_spec"])
         configs = _build_configs(
             surrogate=meta["surrogate"],
@@ -455,7 +470,7 @@ class StudyStore:
             scheduler=meta["scheduler"],
         )
         study = Study.resume(
-            self._study_path(entry.name),
+            study_path,
             problem,
             seed=meta.get("seed"),
             **configs,
@@ -560,12 +575,6 @@ def _build_configs(*, surrogate, acquisition, scheduler) -> dict:
         except (TypeError, ValueError) as exc:
             raise BadRequest(f"invalid {key} config: {exc}") from exc
     return out
-
-
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=1))
-    os.replace(tmp, path)
 
 
 __all__ = ["META_FORMAT", "StudyStore"]

@@ -12,6 +12,7 @@ run can be audited exactly like a live one; these primitives also back
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,27 @@ def load_result(path) -> OptimizationResult:
 # -- study-checkpoint primitives ----------------------------------------------------
 
 
+def write_json_atomic(path, payload: dict) -> Path:
+    """Write ``payload`` as compact JSON to ``path``, atomically.
+
+    The JSON goes to a sibling ``<name>.tmp`` that replaces ``path`` only
+    once complete: a crash mid-write leaves the previous file intact, and
+    a failed write leaves no ``.tmp`` behind.  Compact because any indent
+    swaps json's C encoder for the pure-Python one, and the service
+    writes a checkpoint after every mutation.  No fsync: the rename is
+    atomic, not durable across a power cut.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(payload))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def rng_state_to_dict(rng: np.random.Generator) -> dict:
     """JSON-safe snapshot of a generator's bit-stream position.
 
@@ -225,18 +247,16 @@ def bank_state_to_dict(bank) -> dict:
     gp = bank.gp
     if gp._x_train is None:
         raise ValueError("cannot snapshot an unfitted surrogate bank")
-    xb = gp.xb
-    host = xb.from_device
     return {
         "n_targets": bank.n_targets,
         "n_members": bank.n_members,
-        "network": np.asarray(host(gp.network.get_stacked_params())).tolist(),
-        "log_noise": np.asarray(host(gp.log_noise_variance)).tolist(),
-        "log_prior": np.asarray(host(gp.log_prior_variance)).tolist(),
-        "y_mean": np.asarray(host(gp._y_mean)).tolist(),
-        "y_scale": np.asarray(host(gp._y_scale)).tolist(),
-        "x_train": np.asarray(gp._x_train).tolist(),
-        "z_train": np.asarray(host(gp._z_train)).tolist(),
+        "network": gp.network.get_stacked_params().tolist(),
+        "log_noise": gp.log_noise_variance.tolist(),
+        "log_prior": gp.log_prior_variance.tolist(),
+        "y_mean": gp._y_mean.tolist(),
+        "y_scale": gp._y_scale.tolist(),
+        "x_train": gp._x_train.tolist(),
+        "z_train": gp._z_train.tolist(),
     }
 
 
@@ -258,16 +278,13 @@ def restore_bank_state(bank, data: dict):
             f"{data['n_targets']} targets x {data['n_members']} members, "
             f"bank has {bank.n_targets} x {bank.n_members}"
         )
-    xb = gp.xb
-    gp.network.set_stacked_params(
-        xb.to_device(np.asarray(data["network"], dtype=float))
-    )
-    gp.log_noise_variance = xb.to_device(np.asarray(data["log_noise"], dtype=float))
-    gp.log_prior_variance = xb.to_device(np.asarray(data["log_prior"], dtype=float))
-    gp._y_mean = xb.to_device(np.asarray(data["y_mean"], dtype=float))
-    gp._y_scale = xb.to_device(np.asarray(data["y_scale"], dtype=float))
+    gp.network.set_stacked_params(np.asarray(data["network"], dtype=float))
+    gp.log_noise_variance = np.asarray(data["log_noise"], dtype=float)
+    gp.log_prior_variance = np.asarray(data["log_prior"], dtype=float)
+    gp._y_mean = np.asarray(data["y_mean"], dtype=float)
+    gp._y_scale = np.asarray(data["y_scale"], dtype=float)
     gp._x_train = np.asarray(data["x_train"], dtype=float)
-    gp._z_train = xb.to_device(np.asarray(data["z_train"], dtype=float))
+    gp._z_train = np.asarray(data["z_train"], dtype=float)
     gp._x_fantasy = []
     gp._z_fantasy = []
     gp.update_posterior()

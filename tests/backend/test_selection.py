@@ -1,142 +1,128 @@
-"""Tests for array-backend selection and the namespace contract.
+"""Tests for the array-backend selection the surrogate configuration accepts.
 
-Pinned here:
+The stacked engine computes with numpy directly.  Pinned here:
 
-* ``get_namespace`` name resolution: numpy default, ``"auto"`` preference
-  order (torch, cupy, numpy) restricted to importable packages, unknown
-  names rejected with the full choice list;
-* a missing soft dependency raises :class:`BackendNotAvailable` whose
-  message names the backend, the pip package, and the numpy fallback;
-* the numpy namespace's transfer ops are identity (device round-trips
-  return the same numpy data) and its portable ops are the numpy
-  functions themselves — the bitwise guarantee is by construction;
-* ``NNBO`` mirrors the :class:`SurrogateConfig` ``backend``/
-  ``linalg_threads`` fields as flat attributes;
-* when torch is importable, the torch posterior matches numpy within the
-  1e-5 accelerator-equivalence gate (skips cleanly otherwise).
+* ``available_backends()`` is ``("numpy",)``; ``None``, ``"numpy"`` and
+  ``"auto"`` all select numpy, unknown names are rejected with the full
+  choice list;
+* the removed accelerator names ``"torch"``/``"cupy"`` raise
+  :class:`BackendNotAvailable` (an ``ImportError``) whose message names
+  the backend and the numpy fallback, and the BO service answers them
+  with 400 ``backend-not-available``;
+* a ``device`` other than ``None``/``"cpu"`` raises ``ValueError``, and
+  ``linalg_threads`` must be ``>= 1``;
+* ``get_namespace`` is deprecated: it validates as before, warns with a
+  pointer to ``SurrogateConfig`` and returns the :mod:`numpy` module;
+* :class:`SurrogateConfig` validates ``backend``/``device`` when it is
+  constructed, and its ``linalg_threads`` reaches the bank it builds.
 """
+
+import http.client
+import json
 
 import numpy as np
 import pytest
 
-import repro.backend as backend_mod
 from repro.backend import (
     BACKEND_NAMES,
     BackendNotAvailable,
     available_backends,
-    default_namespace,
+    check_backend,
     get_namespace,
-    resolve_namespace,
 )
+from repro.bo.config import SurrogateConfig
 
-pytestmark = pytest.mark.backend
+
+def deprecated_get_namespace(*args, **kwargs):
+    with pytest.warns(DeprecationWarning, match="SurrogateConfig"):
+        return get_namespace(*args, **kwargs)
 
 
 class TestGetNamespace:
     def test_default_is_numpy(self):
-        assert get_namespace().name == "numpy"
-        assert get_namespace(None).name == "numpy"
-        assert get_namespace("numpy").is_numpy
+        assert deprecated_get_namespace() is np
+        assert deprecated_get_namespace(None) is np
+        assert deprecated_get_namespace("numpy") is np
+        assert check_backend() == check_backend(None) == "numpy"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown array backend"):
-            get_namespace("tensorflow")
+            deprecated_get_namespace("tensorflow")
+        with pytest.raises(ValueError, match="'auto', 'numpy'"):
+            check_backend("tensorflow")
 
     def test_available_backends_always_has_numpy(self):
         names = available_backends()
-        assert names[0] == "numpy"
+        assert names == ("numpy",)
         assert set(names) <= set(BACKEND_NAMES)
 
-    def test_auto_prefers_first_importable_accelerator(self):
-        """``"auto"`` walks torch, cupy, numpy and takes the first importable."""
-        expected = "numpy"
-        for candidate in backend_mod._AUTO_ORDER:
-            if candidate == "numpy" or candidate in available_backends():
-                expected = candidate
-                break
-        assert get_namespace("auto").name == expected
-
-    def test_auto_falls_back_to_numpy_when_nothing_importable(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "_package_importable", lambda name: False)
-        assert get_namespace("auto").name == "numpy"
+    def test_auto_falls_back_to_numpy_when_nothing_importable(self):
+        assert deprecated_get_namespace("auto") is np
+        assert check_backend("auto") == check_backend("AUTO") == "numpy"
 
     def test_missing_soft_dependency_raises_helpfully(self):
-        missing = [n for n in ("torch", "cupy") if n not in available_backends()]
-        if not missing:
-            pytest.skip("both accelerator packages installed")
-        for name in missing:
-            with pytest.raises(BackendNotAvailable) as excinfo:
-                get_namespace(name)
-            message = str(excinfo.value)
-            assert name in message
-            assert f"pip install {name}" in message
-            assert "backend='numpy'" in message
-            assert excinfo.value.backend == name
-            # BackendNotAvailable subclasses ImportError so plain
-            # ``except ImportError`` guards keep working
-            assert isinstance(excinfo.value, ImportError)
-
-
-class TestResolveNamespace:
-    def test_none_is_default_singleton(self):
-        assert resolve_namespace(None) is default_namespace()
-
-    def test_instance_passes_through(self):
-        xb = get_namespace("numpy", linalg_threads=2)
-        assert resolve_namespace(xb) is xb
-
-    def test_name_resolves(self):
-        assert resolve_namespace("numpy").is_numpy
-
-    def test_bad_type_rejected(self):
-        with pytest.raises(TypeError, match="backend must be"):
-            resolve_namespace(42)
+        for name in ("torch", "cupy"):
+            for select in (check_backend, deprecated_get_namespace):
+                with pytest.raises(BackendNotAvailable) as excinfo:
+                    select(name)
+                message = str(excinfo.value)
+                assert repr(name) in message
+                assert "backend='numpy'" in message
+                assert excinfo.value.backend == name
+                assert excinfo.value.package == name
+                # BackendNotAvailable subclasses ImportError so plain
+                # ``except ImportError`` guards keep working
+                assert isinstance(excinfo.value, ImportError)
 
 
 class TestNumpyNamespaceContract:
-    def test_device_round_trip_is_identity(self):
-        xb = get_namespace("numpy")
-        arr = np.arange(6.0).reshape(2, 3)
-        on_device = xb.to_device(arr)
-        assert on_device is arr  # numpy transfer ops are identity
-        back = xb.from_device(on_device)
-        assert isinstance(back, np.ndarray)
-        np.testing.assert_array_equal(back, arr)
-
     def test_portable_ops_are_numpy_functions(self):
-        """Bitwise identity by construction: the ops ARE numpy's."""
-        xb = get_namespace("numpy")
+        """The deprecated namespace is numpy itself: bitwise by construction."""
+        xb = deprecated_get_namespace("numpy")
         assert xb.stack is np.stack
         assert xb.concatenate is np.concatenate
         assert xb.exp is np.exp
         assert xb.where is np.where
 
     def test_device_validation(self):
-        assert get_namespace("numpy", device="cpu").device == "cpu"
+        assert deprecated_get_namespace("numpy", device="cpu") is np
         with pytest.raises(ValueError, match="CPU only"):
-            get_namespace("numpy", device="cuda:0")
+            deprecated_get_namespace("numpy", device="cuda:0")
+        with pytest.raises(ValueError, match="CPU only"):
+            check_backend("auto", device="cuda:0")
 
     def test_linalg_threads_validation(self):
-        assert get_namespace("numpy", linalg_threads=4).linalg_threads == 4
+        from repro.core.batched_gp import SurrogateBank
+
+        assert deprecated_get_namespace("numpy", linalg_threads=4) is np
         with pytest.raises(ValueError):
-            get_namespace("numpy", linalg_threads=0)
+            deprecated_get_namespace("numpy", linalg_threads=0)
+        assert SurrogateBank(2, 1, linalg_threads=4).gp.linalg_threads == 4
+        with pytest.raises(ValueError, match="linalg_threads"):
+            SurrogateBank(2, 1, linalg_threads=0)
 
 
 class TestConfigWiring:
     def test_surrogate_config_fields(self):
-        from repro.bo.config import SurrogateConfig
-
         cfg = SurrogateConfig(backend="numpy", linalg_threads=3)
-        xb = cfg.resolve_backend()
-        assert xb.is_numpy and xb.linalg_threads == 3
+        bank = cfg.bank_factory(2)(np.random.default_rng(0), 1)
+        assert bank.gp.linalg_threads == 3
+        assert SurrogateConfig(backend="AUTO").backend == "auto"
+        SurrogateConfig(backend="auto", device="cpu").bank_factory(2)
         with pytest.raises(ValueError, match="backend"):
             SurrogateConfig(backend="mlx")
         with pytest.raises(ValueError, match="linalg_threads"):
             SurrogateConfig(linalg_threads=-1)
+        # validated at construction, so the loop engine (which builds no
+        # bank) rejects them too
+        with pytest.raises(ValueError, match="CPU only"):
+            SurrogateConfig(device="cuda:0", engine="loop")
+        for name in ("torch", "cupy"):
+            with pytest.raises(BackendNotAvailable):
+                SurrogateConfig(backend=name, engine="loop")
 
     def test_nnbo_mirrors_backend_config(self):
         from repro.benchfns import toy_constrained_quadratic
-        from repro.bo.config import SurrogateConfig
         from repro.core import NNBO
 
         bo = NNBO(
@@ -148,39 +134,30 @@ class TestConfigWiring:
         assert bo.surrogate_config.backend == "numpy"
         assert bo.surrogate_config.linalg_threads == 2
 
+    def test_service_answers_removed_backend_with_400(self, tmp_path):
+        from repro.service import StudyServer
 
-class TestTorchEquivalence:
-    """Accelerator gate: torch posterior within 1e-5 of the numpy path."""
-
-    def test_torch_posterior_matches_numpy(self):
-        pytest.importorskip("torch")
-        from repro.core.batched_gp import SurrogateBank
-        from repro.core.trainer import BatchedFeatureGPTrainer
-
-        rng = np.random.default_rng(0)
-        x = rng.uniform(size=(24, 3))
-        targets = np.stack([np.sin(x).sum(axis=1), (x**2).sum(axis=1)])
-
-        def tf():
-            return BatchedFeatureGPTrainer(epochs=25, patience=10)
-
-        banks = {}
-        for name in ("numpy", "torch"):
-            bank = SurrogateBank(
-                3,
-                2,
-                n_members=3,
-                hidden_dims=(12, 12),
-                n_features=8,
-                seed=9,
-                trainer_factory=tf,
-                backend=get_namespace(name),
-            )
-            bank.fit(x, targets)
-            banks[name] = bank
-        xq = rng.uniform(size=(10, 3))
-        for t in range(2):
-            m_np, v_np = banks["numpy"].predict_target(t, xq)
-            m_th, v_th = banks["torch"].predict_target(t, xq)
-            np.testing.assert_allclose(m_th, m_np, rtol=1e-5, atol=1e-5)
-            np.testing.assert_allclose(v_th, v_np, rtol=1e-5, atol=1e-5)
+        body = json.dumps(
+            {
+                "name": "s",
+                "problem": "toy_constrained_quadratic",
+                "surrogate": {"backend": "torch"},
+            }
+        ).encode()
+        with StudyServer(tmp_path / "store", port=0) as server:
+            conn = http.client.HTTPConnection(*server.address, timeout=30)
+            try:
+                conn.request(
+                    "POST",
+                    "/v1/studies",
+                    body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                error = json.loads(response.read())["error"]
+            finally:
+                conn.close()
+            assert server.store.study_names() == []
+        assert response.status == 400
+        assert error["code"] == "backend-not-available"
+        assert error["detail"] == {"backend": "torch", "package": "torch"}

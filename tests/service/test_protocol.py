@@ -26,6 +26,7 @@ from repro.service.errors import (
     ServiceBusy,
     ServiceError,
     StudyExists,
+    StudyIncomplete,
     UnknownProblem,
     UnknownStudy,
     error_envelope,
@@ -148,6 +149,7 @@ class TestErrorEnvelope:
             (BackendNotAvailable("torch", "torch"), "backend-not-available", 400),
             (ValueError("x"), "bad-request", 400),
             (RuntimeError("x"), "internal-error", 500),
+            (StudyIncomplete("x"), "study-incomplete", 409),
         ],
     )
     def test_stable_codes_and_statuses(self, exc, code, status):

@@ -13,6 +13,8 @@ The contracts pinned here are the service's reason to exist:
 """
 
 import json
+import os
+import shutil
 import threading
 
 import numpy as np
@@ -21,7 +23,13 @@ import pytest
 from repro.benchfns import toy_constrained_quadratic
 from repro.bo.config import SurrogateConfig
 from repro.bo.study import Study
-from repro.service.errors import BadRequest, StudyExists, UnknownStudy
+from repro.service.errors import (
+    BadRequest,
+    StudyExists,
+    StudyIncomplete,
+    UnknownStudy,
+    error_envelope,
+)
 from repro.service.store import StudyStore
 
 TINY = {"n_ensemble": 2, "hidden_dims": [10, 10], "n_features": 6, "epochs": 20}
@@ -165,6 +173,69 @@ class TestDurability:
             payload = json.loads(path.read_text())  # tell checkpointed
         assert payload["result"]["records"], "tell must be on disk"
         assert not list(store.root.glob("*.tmp")), "atomic replace leaves no tmp"
+
+    def test_torn_create_is_a_named_error_and_delete_frees_the_name(self, tmp_path):
+        # a create killed after its meta write but before its first
+        # checkpoint (the write order of earlier versions) leaves a meta
+        # file with no checkpoint next to it
+        store = make_store(tmp_path)
+        create_toy(store, "s", seed=0)
+        (store.root / "s.study.json").unlink()
+        reborn = StudyStore(tmp_path / "store")
+        assert reborn.study_names() == ["s"]
+        for call in (
+            lambda: reborn.ask("s"),
+            lambda: reborn.tell("s", 0, 1.0),
+            lambda: reborn.retract("s", 0),
+            lambda: reborn.best("s"),
+            lambda: reborn.status("s"),
+            lambda: reborn.checkpoint("s"),
+        ):
+            with pytest.raises(StudyIncomplete, match="s.study.json") as err:
+                call()
+        assert err.value.detail == {"missing": "s.study.json"}
+        status, envelope = error_envelope(err.value)
+        assert (status, envelope["code"]) == (409, "study-incomplete")
+        with pytest.raises(StudyExists):
+            create_toy(reborn, "s", seed=0)
+        assert reborn.delete("s") == "s"
+        assert not list(reborn.root.iterdir())
+        create_toy(reborn, "s", seed=0)  # the name is free again
+        assert reborn.status("s")[0]["n_evaluations"] == 0
+
+    def test_stale_tmp_files_are_ignored_at_startup(self, tmp_path):
+        store = make_store(tmp_path)
+        create_toy(store, "s", seed=7)
+        (t0, _), (t1, _) = store.ask("s", 2)
+        store.tell("s", t0.id, PROBLEM.evaluate(t0.x))
+        copy_root = tmp_path / "copy"
+        shutil.copytree(store.root, copy_root)
+        # a crash mid-write leaves the tmp siblings of both files behind
+        for name in ("s.study.json.tmp", "s.meta.json.tmp"):
+            (store.root / name).write_text('{"torn": ')
+        reborn = StudyStore(tmp_path / "store")
+        assert reborn.study_names() == ["s"]
+        clean = StudyStore(copy_root)
+        for each in (reborn, clean):
+            each.tell("s", t1.id, PROBLEM.evaluate(t1.x))
+            drive_store(each, "s")
+        got, want = store_result(reborn, "s"), store_result(clean, "s")
+        np.testing.assert_array_equal(got.x_matrix, want.x_matrix)
+        np.testing.assert_array_equal(got.objectives, want.objectives)
+
+    def test_failed_write_leaves_no_tmp_and_no_study(self, tmp_path, monkeypatch):
+        store = make_store(tmp_path)
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            create_toy(store, "s", seed=0)
+        monkeypatch.undo()
+        assert store.study_names() == []
+        assert not list(store.root.iterdir()), "no tmp, meta or checkpoint left"
+        create_toy(store, "s", seed=0)
 
 
 class TestResidency:
